@@ -58,19 +58,6 @@ pub fn mean_time(reps: usize, mut f: impl FnMut()) -> Duration {
     start.elapsed() / reps as u32
 }
 
-/// Front-end work per incoming record: fold into the running aggregate,
-/// then pay the tool's per-record consumption cost (a spin, not a sleep,
-/// to model CPU-bound tool-side processing).
-pub fn fold(acc: &mut [f64], record: &[f64], record_cost: Duration) {
-    for (a, r) in acc.iter_mut().zip(record) {
-        *a += r;
-    }
-    let end = Instant::now() + record_cost;
-    while Instant::now() < end {
-        std::hint::spin_loop();
-    }
-}
-
 /// The "deep" (2-level) tree the paper pairs against a flat tree of the
 /// same leaf count: per-level fan-outs as close to `sqrt(leaves)` as
 /// divisibility allows.

@@ -13,10 +13,11 @@ use tbon_transport::{Delivery, NodeEndpoint};
 use crate::config::{FlowConfig, TraceConfig};
 use crate::error::{Result, TbonError};
 use crate::packet::{Packet, Rank};
+use crate::plane::{Membership, Plane};
 use crate::process::{decode_frame, send_message};
 use crate::proto::{Envelope, Message};
 use crate::stream::{StreamId, StreamMode, Tag};
-use crate::telemetry::{now_us, SpanRing, TraceSpan, TraceStage, TRACE_FILTER};
+use crate::telemetry::{now_us, SpanRing, TraceSpan, TraceStage};
 use crate::value::DataValue;
 
 /// What a back-end learns from its parent.
@@ -313,11 +314,14 @@ impl BackendContext {
                                 mode: *mode,
                             },
                         );
-                        if transformation == TRACE_FILTER {
-                            // The tracing plane's own stream: remember it
-                            // for span shipping but keep it invisible to
-                            // application code (like the metrics stream,
-                            // which leaves never even join).
+                        let leaf_plane = Plane::of_filter(transformation)
+                            .is_some_and(|p| p.desc().membership == Membership::EveryLiveRank);
+                        if leaf_plane {
+                            // An in-band plane that leaves publish on (only
+                            // tracing does): remember its stream for span
+                            // shipping but keep it invisible to application
+                            // code. Planes whose members are the
+                            // communication processes never reach a leaf.
                             self.trace_stream = Some(*stream);
                             self.flush_spans();
                             None

@@ -1,11 +1,11 @@
 //! The unified stream-consumer API.
 //!
 //! Every front-end handle that yields a sequence of values —
-//! [`crate::StreamHandle`] (packets), [`crate::MetricsHandle`] (telemetry
-//! samples) — implements [`StreamConsumer`]: one `recv(Deadline)` shape
-//! instead of per-handle `recv`/`recv_timeout`/`try_recv` drift. A missed
-//! deadline is `Ok(None)` (normal, retryable), a closed stream is `Err`
-//! (terminal), so callers can't confuse the two.
+//! [`crate::StreamHandle`] (packets) and the in-band planes'
+//! [`crate::PlaneHandle`]s (metrics samples, trace batches, incident
+//! batches) — implements [`StreamConsumer`]: one `recv(Deadline)` shape
+//! for all of them. A missed deadline is `Ok(None)` (normal, retryable), a
+//! closed stream is `Err` (terminal), so callers can't confuse the two.
 
 use std::time::{Duration, Instant};
 

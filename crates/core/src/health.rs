@@ -26,19 +26,17 @@
 //! the recording process's local `now_us` epoch. Diagnosis only ever
 //! compares timestamps *within* one bundle, never across ranks.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::codec::Reader;
 use crate::error::{Result, TbonError};
-use crate::filter::{FilterContext, Transformation, Wave};
-use crate::packet::{Packet, Rank};
+use crate::packet::Rank;
+use crate::plane::{Batch, BatchItem, CappedConcat};
 use crate::proto::{
     decode_perf_counters, encode_perf_counters, PerfCounters, PERF_COUNTERS_WIRE_LEN,
 };
-use crate::stream::Tag;
 use crate::telemetry::{json_escape, LoggedEvent, TraceSpan, TRACE_SPAN_WIRE_LEN};
-use crate::value::DataValue;
 
 /// Registry name of the built-in bundle-gathering transformation (the
 /// health plane's analogue of `telemetry::trace_gather`).
@@ -172,18 +170,25 @@ struct Baseline {
     ewma: f64,
     samples: u32,
     last_value: u64,
+    last_subject: u32,
     last_warn_us: u64,
 }
 
-/// Per-process continuous health scoring: one EWMA baseline per
-/// `(signal, subject)`, warning on floor-and-ratio threshold crossings
-/// with per-key debounce.
+/// Per-process continuous health scoring: one EWMA baseline per signal,
+/// warning on floor-and-ratio threshold crossings with per-signal debounce.
+///
+/// The baseline is the *process's* normal for the signal, whoever the
+/// subject of a given sample is. For [`HealthSignal::StragglerGap`] that
+/// means a child is judged against the gaps this process usually sees
+/// from all of its children — a baseline kept per child would warm up on
+/// the slow child's own faulty samples and absorb the fault before it
+/// could ever cross.
 #[derive(Debug)]
 pub struct HealthMonitor {
     warn_ratio: u32,
     warmup_samples: u32,
     min_gap_us: u64,
-    baselines: HashMap<(u8, u32), Baseline>,
+    baselines: [Baseline; HealthSignal::ALL.len()],
 }
 
 impl HealthMonitor {
@@ -192,14 +197,14 @@ impl HealthMonitor {
             warn_ratio: warn_ratio.max(1),
             warmup_samples,
             min_gap_us,
-            baselines: HashMap::new(),
+            baselines: Default::default(),
         }
     }
 
     /// Fold one sample in; returns the crossing score if it warrants a
     /// warning. A warning fires when the baseline has warmed up, the
     /// sample reaches the signal's absolute floor, exceeds `warn_ratio ×`
-    /// the pre-sample baseline, and the key's debounce gap has elapsed.
+    /// the pre-sample baseline, and the signal's debounce gap has elapsed.
     pub fn observe(
         &mut self,
         signal: HealthSignal,
@@ -207,14 +212,12 @@ impl HealthMonitor {
         value: u64,
         now_us: u64,
     ) -> Option<HealthScore> {
-        let b = self
-            .baselines
-            .entry((signal.code(), subject.0))
-            .or_default();
+        let b = &mut self.baselines[signal.code() as usize];
         let before = b.ewma;
         b.ewma = EWMA_ALPHA * value as f64 + (1.0 - EWMA_ALPHA) * b.ewma;
         b.samples = b.samples.saturating_add(1);
         b.last_value = value;
+        b.last_subject = subject.0;
         let warmed = b.samples > self.warmup_samples;
         let crossed =
             value >= signal.floor() && value as f64 > self.warn_ratio as f64 * before.max(1.0);
@@ -232,22 +235,21 @@ impl HealthMonitor {
         }
     }
 
-    /// Snapshot every tracked baseline as a [`HealthScore`] (value = last
-    /// sample, baseline = current EWMA) — the health section of an
-    /// incident bundle.
+    /// Snapshot every sampled baseline as a [`HealthScore`] (value and
+    /// subject = last sample, baseline = current EWMA) — the health
+    /// section of an incident bundle.
     pub fn scores(&self) -> Vec<HealthScore> {
-        let mut v: Vec<HealthScore> = self
-            .baselines
-            .iter()
-            .map(|(&(code, subject), b)| HealthScore {
-                signal: HealthSignal::from_code(code).expect("codes we created"),
-                subject: Rank(subject),
+        HealthSignal::ALL
+            .into_iter()
+            .zip(&self.baselines)
+            .filter(|(_, b)| b.samples > 0)
+            .map(|(signal, b)| HealthScore {
+                signal,
+                subject: Rank(b.last_subject),
                 value: b.last_value,
                 baseline: b.ewma as u64,
             })
-            .collect();
-        v.sort_by_key(|s| (s.signal.code(), s.subject.0));
-        v
+            .collect()
     }
 }
 
@@ -399,8 +401,13 @@ pub struct IncidentBundle {
     pub spans: Vec<TraceSpan>,
 }
 
-impl IncidentBundle {
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+impl BatchItem for IncidentBundle {
+    /// A bundle with no children, trigger, scores, flow, events or spans:
+    /// its fixed header and the five empty length prefixes.
+    const MIN_WIRE_LEN: usize = 8 + 4 + 1 + 4 + 8 + 4 + 4 + PERF_COUNTERS_WIRE_LEN + 1 + 4 * 4;
+    const WHAT: &'static str = "incident batch";
+
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.incident.to_le_bytes());
         buf.extend_from_slice(&self.rank.0.to_le_bytes());
         buf.push(self.reason.code());
@@ -441,7 +448,7 @@ impl IncidentBundle {
         }
     }
 
-    pub fn decode(r: &mut Reader<'_>) -> Result<IncidentBundle> {
+    fn decode(r: &mut Reader<'_>) -> Result<IncidentBundle> {
         let incident = r.u64()?;
         let rank = Rank(r.u32()?);
         let reason = IncidentReason::from_code(r.u8()?)?;
@@ -507,7 +514,7 @@ impl IncidentBundle {
         })
     }
 
-    pub fn encoded_len(&self) -> usize {
+    fn encoded_len(&self) -> usize {
         8 + 4
             + 1
             + 4
@@ -531,7 +538,9 @@ impl IncidentBundle {
             + 4
             + TRACE_SPAN_WIRE_LEN * self.spans.len()
     }
+}
 
+impl IncidentBundle {
     /// Shed the oldest spans, then the oldest events, until the encoding
     /// fits `max_bytes`. The fixed header always survives.
     pub fn truncate_to(&mut self, max_bytes: usize) {
@@ -550,7 +559,7 @@ impl IncidentBundle {
         (self.incident >> 32) as u32
     }
 
-    /// Single-line JSON object (for `tbon-doctor --json` and saved
+    /// Single-line JSON object (for `tbon doctor --json` and saved
     /// bundles).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512);
@@ -631,71 +640,12 @@ impl IncidentBundle {
 
 /// Bundles in flight on the incident stream: one process's capture, or —
 /// after passing through [`IncidentGather`] — several processes' views of
-/// (usually) the same incident.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct IncidentBatch {
-    /// Bundles cut by the gather byte cap before reaching the front end.
-    pub dropped: u64,
-    pub bundles: Vec<IncidentBundle>,
-}
+/// (usually) the same incident. `dropped` counts bundles cut by the gather
+/// byte cap before reaching the front end.
+pub type IncidentBatch = Batch<IncidentBundle>;
 
-impl IncidentBatch {
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.dropped.to_le_bytes());
-        buf.extend_from_slice(&(self.bundles.len() as u32).to_le_bytes());
-        for b in &self.bundles {
-            b.encode(buf);
-        }
-    }
-
-    pub fn decode(r: &mut Reader<'_>) -> Result<IncidentBatch> {
-        let dropped = r.u64()?;
-        // A bundle's minimum encoding is its fixed header.
-        let n = r.len_prefix(8 + 4 + 1 + 4 + 8 + 4 + 4 + PERF_COUNTERS_WIRE_LEN + 1 + 12)?;
-        let mut bundles = Vec::with_capacity(n);
-        for _ in 0..n {
-            bundles.push(IncidentBundle::decode(r)?);
-        }
-        Ok(IncidentBatch { dropped, bundles })
-    }
-
-    pub fn encoded_len(&self) -> usize {
-        8 + 4
-            + self
-                .bundles
-                .iter()
-                .map(IncidentBundle::encoded_len)
-                .sum::<usize>()
-    }
-
-    /// Pack into the opaque-bytes payload an incident packet carries.
-    pub fn to_value(&self) -> DataValue {
-        let mut buf = Vec::with_capacity(self.encoded_len());
-        self.encode(&mut buf);
-        DataValue::Bytes(buf)
-    }
-
-    pub fn from_value(v: &DataValue) -> Result<IncidentBatch> {
-        let bytes = v
-            .as_bytes()
-            .ok_or_else(|| TbonError::Decode("incident batch payload must be Bytes".into()))?;
-        let mut r = Reader::new(bytes);
-        let b = Self::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(TbonError::Decode(
-                "trailing bytes after incident batch".into(),
-            ));
-        }
-        Ok(b)
-    }
-}
-
-/// The built-in transformation behind [`INCIDENT_FILTER`]: concatenates
-/// every decodable [`IncidentBatch`] in a wave into one, enforcing a byte
-/// cap so an incident storm cannot monopolise upstream bandwidth — bundles
-/// cut by the cap are counted into `dropped`, never silently lost.
-/// Undecodable packets are skipped (same resilience rule as
-/// `telemetry::metrics_merge`).
+/// The built-in transformation behind [`INCIDENT_FILTER`]: the shared
+/// [`CappedConcat`] gather over [`IncidentBundle`]s.
 #[derive(Debug)]
 pub struct IncidentGather {
     /// Encoded bundle bytes one gathered batch may carry.
@@ -711,43 +661,11 @@ impl Default for IncidentGather {
     }
 }
 
-impl Transformation for IncidentGather {
-    fn transform(&mut self, wave: Wave, ctx: &mut FilterContext) -> Result<Vec<Packet>> {
-        let mut acc: Option<IncidentBatch> = None;
-        let mut tag = Tag(0);
-        for pkt in &wave {
-            let Ok(b) = IncidentBatch::from_value(pkt.value()) else {
-                continue;
-            };
-            tag = pkt.tag();
-            match &mut acc {
-                Some(a) => {
-                    a.dropped = a.dropped.saturating_add(b.dropped);
-                    a.bundles.extend(b.bundles);
-                }
-                None => acc = Some(b),
-            }
-        }
-        Ok(match acc {
-            Some(mut b) => {
-                let mut used = 0usize;
-                let mut keep = 0usize;
-                for bundle in &b.bundles {
-                    let len = bundle.encoded_len();
-                    if used + len > self.max_bytes && keep > 0 {
-                        break;
-                    }
-                    used += len;
-                    keep += 1;
-                }
-                if keep < b.bundles.len() {
-                    b.dropped = b.dropped.saturating_add((b.bundles.len() - keep) as u64);
-                    b.bundles.truncate(keep);
-                }
-                vec![ctx.make(tag, b.to_value())]
-            }
-            None => Vec::new(),
-        })
+impl CappedConcat for IncidentGather {
+    type Item = IncidentBundle;
+
+    fn max_bytes(&self) -> usize {
+        self.max_bytes
     }
 }
 
@@ -1064,7 +982,7 @@ impl Diagnosis {
     /// Fold one received batch in.
     pub fn absorb(&mut self, batch: &IncidentBatch) {
         self.dropped = self.dropped.max(batch.dropped);
-        for b in &batch.bundles {
+        for b in &batch.items {
             self.absorb_bundle(b.clone());
         }
     }
@@ -1197,9 +1115,8 @@ impl Diagnosis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::FilterContext;
-    use crate::stream::StreamId;
     use crate::telemetry::TraceStage;
+    use crate::value::DataValue;
 
     fn bundle(incident: u64, rank: u32, reason: IncidentReason) -> IncidentBundle {
         IncidentBundle {
@@ -1255,14 +1172,17 @@ mod tests {
         assert!(m
             .observe(HealthSignal::ExecutorQueue, Rank(1), 60, 2_000_001)
             .is_none());
-        // ...but a different subject has its own key (needs its own warmup).
+        // ...but a different signal debounces on its own.
         for i in 0..5 {
-            m.observe(HealthSignal::ExecutorQueue, Rank(2), 0, i);
+            m.observe(HealthSignal::CreditStall, Rank(1), 0, i);
         }
         assert!(m
-            .observe(HealthSignal::ExecutorQueue, Rank(2), 50, 2_000_002)
+            .observe(HealthSignal::CreditStall, Rank(1), 90_000, 2_000_002)
             .is_some());
-        // After the gap elapses the first subject can warn again.
+        // After the gap elapses the first signal can warn again.
+        for i in 0..40 {
+            m.observe(HealthSignal::ExecutorQueue, Rank(1), 0, 2_000_100 + i);
+        }
         assert!(m
             .observe(HealthSignal::ExecutorQueue, Rank(1), 60, 3_500_000)
             .is_some());
@@ -1272,10 +1192,57 @@ mod tests {
                 .observe(HealthSignal::WriterQueue, Rank(1), 7, 4_000_000 + i)
                 .is_none());
         }
-        // scores() snapshots every tracked baseline.
+        // scores() snapshots every sampled baseline, in signal order.
         let scores = m.scores();
-        assert!(scores.len() >= 3);
-        assert!(scores.iter().any(|s| s.signal == HealthSignal::WriterQueue));
+        let signals: Vec<HealthSignal> = scores.iter().map(|s| s.signal).collect();
+        assert_eq!(
+            signals,
+            [
+                HealthSignal::WriterQueue,
+                HealthSignal::ExecutorQueue,
+                HealthSignal::CreditStall
+            ]
+        );
+    }
+
+    /// The baseline belongs to the signal, not to the subject: a child
+    /// that was never the straggler while the tree was healthy is judged
+    /// against the gaps its siblings produced, and warns on its first slow
+    /// wave instead of teaching the monitor that slow is normal.
+    #[test]
+    fn straggler_is_judged_against_the_process_baseline() {
+        let mut m = HealthMonitor::new(4, 5, 0);
+        // Healthy: small gaps, a different child last each time.
+        for i in 0..20u64 {
+            let warn = m.observe(
+                HealthSignal::StragglerGap,
+                Rank(1 + (i % 15) as u32),
+                900,
+                i,
+            );
+            assert!(warn.is_none());
+        }
+        // Child 16 was never last before; its first 400 ms stall crosses.
+        let warn = m
+            .observe(HealthSignal::StragglerGap, Rank(16), 400_000, 100)
+            .expect("first slow wave must warn");
+        assert_eq!(warn.subject, Rank(16));
+        assert!(warn.baseline <= 900);
+        // One stalled wave per eight checks keeps crossing: the quiet
+        // checks in between pull the baseline back down.
+        let mut warned = 0;
+        for round in 0..5u64 {
+            for i in 0..7 {
+                m.observe(HealthSignal::StragglerGap, Rank(0), 0, 200 + round * 8 + i);
+            }
+            let t = 200 + round * 8 + 7;
+            if m.observe(HealthSignal::StragglerGap, Rank(16), 400_000, t)
+                .is_some()
+            {
+                warned += 1;
+            }
+        }
+        assert_eq!(warned, 5);
     }
 
     #[test]
@@ -1334,7 +1301,7 @@ mod tests {
         }];
         let batch = IncidentBatch {
             dropped: 2,
-            bundles: vec![b.clone(), bundle(5, 1, IncidentReason::Neighbor)],
+            items: vec![b.clone(), bundle(5, 1, IncidentReason::Neighbor)],
         };
         let mut buf = Vec::new();
         batch.encode(&mut buf);
@@ -1384,46 +1351,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_concatenates_caps_and_skips_junk() {
-        let one_len = bundle(1, 1, IncidentReason::ChildLost).encoded_len();
-        let mut f = IncidentGather {
-            max_bytes: 2 * one_len,
-        };
-        let mut ctx = FilterContext::new(StreamId(11), Rank(1), false, 2);
-        let b1 = IncidentBatch {
-            dropped: 1,
-            bundles: vec![
-                bundle((2u64 << 32) | 1, 2, IncidentReason::ChildLost),
-                bundle((2u64 << 32) | 1, 1, IncidentReason::Neighbor),
-            ],
-        };
-        let b2 = IncidentBatch {
-            dropped: 0,
-            bundles: vec![bundle((5u64 << 32) | 1, 5, IncidentReason::FlowSilent)],
-        };
-        let wave = vec![
-            Packet::new(StreamId(11), Tag(2), Rank(2), b1.to_value()),
-            Packet::new(StreamId(11), Tag(2), Rank(5), b2.to_value()),
-            Packet::new(StreamId(11), Tag(2), Rank(6), DataValue::U64(1)),
-        ];
-        let out = f.transform(wave, &mut ctx).expect("gather");
-        assert_eq!(out.len(), 1);
-        let merged = IncidentBatch::from_value(out[0].value()).unwrap();
-        // Three bundles offered, cap fits two; the cut bundle is counted.
-        assert_eq!(merged.bundles.len(), 2);
-        assert_eq!(merged.dropped, 1 + 1);
-
-        // No decodable batches → no output at all.
-        let empty = f
-            .transform(
-                vec![Packet::new(StreamId(11), Tag(0), Rank(2), DataValue::Unit)],
-                &mut ctx,
-            )
-            .expect("empty");
-        assert!(empty.is_empty());
-    }
-
-    #[test]
     fn classify_dead_link() {
         let mut b = bundle((1u64 << 32) | 1, 1, IncidentReason::ChildLost);
         b.subject = Rank(9);
@@ -1432,7 +1359,7 @@ mod tests {
         let mut d = Diagnosis::new();
         d.absorb(&IncidentBatch {
             dropped: 0,
-            bundles: vec![b],
+            items: vec![b],
         });
         let verdicts = d.verdicts();
         assert_eq!(verdicts.len(), 1);
@@ -1549,12 +1476,12 @@ mod tests {
         let mut d = Diagnosis::new();
         d.absorb(&IncidentBatch {
             dropped: 1,
-            bundles: vec![neighbor.clone(), primary.clone()],
+            items: vec![neighbor.clone(), primary.clone()],
         });
         // Replayed frames present the same bundles again.
         d.absorb(&IncidentBatch {
             dropped: 3,
-            bundles: vec![primary.clone(), neighbor],
+            items: vec![primary.clone(), neighbor],
         });
         assert_eq!(d.len(), 1);
         assert_eq!(d.dropped(), 3);

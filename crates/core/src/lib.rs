@@ -32,6 +32,7 @@ pub mod fmt;
 pub mod health;
 pub mod network;
 pub mod packet;
+pub mod plane;
 mod process;
 pub mod proto;
 pub mod stream;
@@ -56,9 +57,10 @@ pub use health::{
 };
 pub use network::{
     EventSnapshot, IncidentHandle, MetricsHandle, Network, NetworkBuilder, PerfSnapshot,
-    StreamHandle, TraceHandle,
+    PlaneHandle, StreamHandle, TraceHandle,
 };
 pub use packet::{Packet, Rank};
+pub use plane::{Batch, BatchItem, CappedConcat, PlanePayload};
 pub use proto::{FilterKind, Message, NetEvent, PerfCounters};
 pub use stream::{Members, StreamId, StreamMode, StreamSpec, SyncPolicy, Tag};
 pub use telemetry::{

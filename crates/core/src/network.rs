@@ -8,6 +8,7 @@
 //! attach or kill back-ends, and shut the whole tree down in order.
 
 use std::collections::{HashMap, VecDeque};
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -26,6 +27,7 @@ use crate::error::{Result, TbonError};
 use crate::filter::FilterRegistry;
 use crate::health::IncidentBatch;
 use crate::packet::{Packet, Rank};
+use crate::plane::{Plane, PlanePayload};
 use crate::process::{send_message, CommProcess, FeCommand};
 use crate::proto::{Envelope, FilterKind, Message, NetEvent, PerfCounters};
 use crate::stream::{StreamId, StreamSpec, Tag};
@@ -675,36 +677,14 @@ impl Network {
     /// `telemetry::metrics_merge` filter folds them level by level so the
     /// front-end receives **one** tree-wide aggregate per interval.
     pub fn open_metrics_stream(&mut self, interval: Duration) -> Result<MetricsHandle> {
-        self.open_metrics(interval, true)
+        self.open_plane(Plane::Metrics, interval, true)
     }
 
     /// Like [`Network::open_metrics_stream`] but without merging: every
     /// process's sample passes through individually (keyed by
     /// [`Packet::origin`]) for per-rank drill-down.
     pub fn open_metrics_drilldown(&mut self, interval: Duration) -> Result<MetricsHandle> {
-        self.open_metrics(interval, false)
-    }
-
-    fn open_metrics(&mut self, interval: Duration, merge: bool) -> Result<MetricsHandle> {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.cmd
-            .send(FeCommand::OpenMetrics {
-                interval,
-                merge,
-                reply: reply_tx,
-            })
-            .map_err(|_| TbonError::NetworkDown)?;
-        let (id, rx) = reply_rx
-            .recv_timeout(self.config.shutdown_timeout)
-            .map_err(|_| TbonError::NetworkDown)??;
-        Ok(MetricsHandle {
-            inner: StreamHandle {
-                id,
-                cmd: self.cmd.clone(),
-                rx,
-            },
-            recovery: Some(self.recovery.clone()),
-        })
+        self.open_plane(Plane::Metrics, interval, false)
     }
 
     /// Open the distributed-trace stream (requires
@@ -717,23 +697,7 @@ impl Network {
     /// Feed batches to a [`crate::trace::TraceAssembler`] to reconstruct
     /// per-wave critical paths and export Chrome trace JSON.
     pub fn open_trace_stream(&mut self, interval: Duration) -> Result<TraceHandle> {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.cmd
-            .send(FeCommand::OpenTrace {
-                interval,
-                reply: reply_tx,
-            })
-            .map_err(|_| TbonError::NetworkDown)?;
-        let (id, rx) = reply_rx
-            .recv_timeout(self.config.shutdown_timeout)
-            .map_err(|_| TbonError::NetworkDown)??;
-        Ok(TraceHandle {
-            inner: StreamHandle {
-                id,
-                cmd: self.cmd.clone(),
-                rx,
-            },
-        })
+        self.open_plane(Plane::Trace, interval, true)
     }
 
     /// Open the incident stream — the flight-recorder plane. Every
@@ -745,19 +709,36 @@ impl Network {
     /// batches to a [`crate::Diagnosis`] for automated root-cause
     /// classification.
     pub fn open_incident_stream(&mut self) -> Result<IncidentHandle> {
+        self.open_plane(Plane::Incident, Duration::ZERO, true)
+    }
+
+    /// The one plane-open path behind the four `open_*` calls above.
+    fn open_plane<T: PlanePayload>(
+        &mut self,
+        plane: Plane,
+        interval: Duration,
+        merge: bool,
+    ) -> Result<PlaneHandle<T>> {
         let (reply_tx, reply_rx) = bounded(1);
         self.cmd
-            .send(FeCommand::OpenIncident { reply: reply_tx })
+            .send(FeCommand::OpenPlane {
+                plane,
+                interval,
+                merge,
+                reply: reply_tx,
+            })
             .map_err(|_| TbonError::NetworkDown)?;
         let (id, rx) = reply_rx
             .recv_timeout(self.config.shutdown_timeout)
             .map_err(|_| TbonError::NetworkDown)??;
-        Ok(IncidentHandle {
+        Ok(PlaneHandle {
             inner: StreamHandle {
                 id,
                 cmd: self.cmd.clone(),
                 rx,
             },
+            recovery: self.recovery.clone(),
+            payload: PhantomData,
         })
     }
 
@@ -908,21 +889,6 @@ impl StreamHandle {
         reply_rx.recv().map_err(|_| TbonError::NetworkDown)?
     }
 
-    /// Block for the next packet, up to `timeout`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use StreamConsumer::recv_within, which returns Ok(None) on timeout"
-    )]
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Packet> {
-        StreamConsumer::recv_within(self, timeout)?.ok_or(TbonError::Timeout)
-    }
-
-    /// Non-blocking poll for a packet.
-    #[deprecated(since = "0.2.0", note = "use StreamConsumer::poll")]
-    pub fn try_recv(&self) -> Option<Packet> {
-        StreamConsumer::poll(self)
-    }
-
     /// Tear the stream down across the tree.
     pub fn close(self) -> Result<()> {
         let (reply_tx, reply_rx) = bounded(1);
@@ -969,144 +935,58 @@ impl StreamConsumer for StreamHandle {
     }
 }
 
-/// Front-end handle to the telemetry stream (see
-/// [`Network::open_metrics_stream`]): a [`StreamHandle`] that decodes each
-/// upstream packet into a [`MetricsSample`] keyed by its origin rank —
-/// the root rank for merged samples, the publishing process's rank in
-/// drill-down mode.
+/// Front-end handle to one in-band plane's stream: a [`StreamHandle`] that
+/// decodes each upstream packet into the plane's payload type `T`, keyed
+/// by the packet's origin rank. The three planes' handles —
+/// [`MetricsHandle`], [`TraceHandle`], [`IncidentHandle`] — are this type
+/// at their payloads.
 #[derive(Debug)]
-pub struct MetricsHandle {
+pub struct PlaneHandle<T> {
     inner: StreamHandle,
-    /// Supervisor recovery-latency histogram, grafted into each sample as
-    /// it is received: recovery is recorded at the front end (the
-    /// supervisor lives there), so publishing processes leave
-    /// [`MetricsSample::recovery_us`] empty on the wire.
-    recovery: Option<Arc<Mutex<LogHistogram>>>,
+    /// Supervisor recovery-latency histogram, offered to every received
+    /// payload (see [`PlanePayload::graft_recovery`]).
+    recovery: Arc<Mutex<LogHistogram>>,
+    payload: PhantomData<fn() -> T>,
 }
 
-impl MetricsHandle {
+/// Handle to the telemetry stream (see [`Network::open_metrics_stream`]).
+/// The origin is the root rank for merged samples, the publishing
+/// process's rank in drill-down mode.
+pub type MetricsHandle = PlaneHandle<MetricsSample>;
+
+/// Handle to the trace stream (see [`Network::open_trace_stream`]).
+pub type TraceHandle = PlaneHandle<TraceBatch>;
+
+/// Handle to the incident stream (see [`Network::open_incident_stream`]).
+pub type IncidentHandle = PlaneHandle<IncidentBatch>;
+
+impl<T> PlaneHandle<T> {
     /// The underlying stream id.
     pub fn id(&self) -> StreamId {
         self.inner.id()
     }
 
-    /// Block up to `timeout` for the next sample.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use StreamConsumer::recv_within, which returns Ok(None) on timeout"
-    )]
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<(Rank, MetricsSample)> {
-        StreamConsumer::recv_within(self, timeout)?.ok_or(TbonError::Timeout)
-    }
-
-    /// Non-blocking poll for a sample.
-    #[deprecated(since = "0.2.0", note = "use StreamConsumer::poll")]
-    pub fn try_recv(&self) -> Option<(Rank, MetricsSample)> {
-        StreamConsumer::poll(self)
-    }
-
-    /// Tear the telemetry stream down across the tree (publishers disarm).
+    /// Tear the plane's stream down across the tree. Publishers disarm;
+    /// what feeds them (span sampling, health scoring) is config-driven
+    /// and keeps running, its output staying in the local rings.
     pub fn close(self) -> Result<()> {
         self.inner.close()
     }
 }
 
-impl StreamConsumer for MetricsHandle {
-    type Item = (Rank, MetricsSample);
+impl<T: PlanePayload> StreamConsumer for PlaneHandle<T> {
+    type Item = (Rank, T);
 
     /// Undecodable packets on the stream are skipped, not surfaced as
     /// errors.
-    fn recv(&self, deadline: Deadline) -> Result<Option<(Rank, MetricsSample)>> {
+    fn recv(&self, deadline: Deadline) -> Result<Option<(Rank, T)>> {
         loop {
             match self.inner.recv(deadline)? {
                 None => return Ok(None),
                 Some(pkt) => {
-                    if let Ok(mut sample) = MetricsSample::from_value(pkt.value()) {
-                        if let Some(rec) = &self.recovery {
-                            sample.recovery_us = rec.lock().clone();
-                        }
-                        return Ok(Some((pkt.origin(), sample)));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Front-end handle to the trace stream (see
-/// [`Network::open_trace_stream`]): a [`StreamHandle`] that decodes each
-/// upstream packet into a [`TraceBatch`] keyed by its origin rank.
-#[derive(Debug)]
-pub struct TraceHandle {
-    inner: StreamHandle,
-}
-
-impl TraceHandle {
-    /// The underlying stream id.
-    pub fn id(&self) -> StreamId {
-        self.inner.id()
-    }
-
-    /// Tear the trace stream down across the tree. Publishers disarm and
-    /// span shipping stops; sampling itself is config-driven and keeps
-    /// marking packets (the spans just stay in the local rings).
-    pub fn close(self) -> Result<()> {
-        self.inner.close()
-    }
-}
-
-impl StreamConsumer for TraceHandle {
-    type Item = (Rank, TraceBatch);
-
-    /// Undecodable packets on the stream are skipped, not surfaced as
-    /// errors.
-    fn recv(&self, deadline: Deadline) -> Result<Option<(Rank, TraceBatch)>> {
-        loop {
-            match self.inner.recv(deadline)? {
-                None => return Ok(None),
-                Some(pkt) => {
-                    if let Ok(batch) = TraceBatch::from_value(pkt.value()) {
-                        return Ok(Some((pkt.origin(), batch)));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Front-end handle to the incident stream (see
-/// [`Network::open_incident_stream`]): a [`StreamHandle`] that decodes each
-/// upstream packet into an [`IncidentBatch`] keyed by its origin rank.
-#[derive(Debug)]
-pub struct IncidentHandle {
-    inner: StreamHandle,
-}
-
-impl IncidentHandle {
-    /// The underlying stream id.
-    pub fn id(&self) -> StreamId {
-        self.inner.id()
-    }
-
-    /// Tear the incident stream down across the tree — flight recorders
-    /// disarm (health scoring itself is config-driven and keeps running).
-    pub fn close(self) -> Result<()> {
-        self.inner.close()
-    }
-}
-
-impl StreamConsumer for IncidentHandle {
-    type Item = (Rank, IncidentBatch);
-
-    /// Undecodable packets on the stream are skipped, not surfaced as
-    /// errors.
-    fn recv(&self, deadline: Deadline) -> Result<Option<(Rank, IncidentBatch)>> {
-        loop {
-            match self.inner.recv(deadline)? {
-                None => return Ok(None),
-                Some(pkt) => {
-                    if let Ok(batch) = IncidentBatch::from_value(pkt.value()) {
-                        return Ok(Some((pkt.origin(), batch)));
+                    if let Ok(mut payload) = T::from_payload(pkt.value()) {
+                        payload.graft_recovery(&self.recovery);
+                        return Ok(Some((pkt.origin(), payload)));
                     }
                 }
             }

@@ -28,14 +28,14 @@ use crate::executor::{execute, FilterJob, FilterPool, SharedFilter, WaveOutput};
 use crate::filter::{FilterContext, FilterRegistry, SyncContext, Synchronization, Transformation};
 use crate::health::{
     FlowSummary, HealthMonitor, HealthScore, HealthSignal, IncidentBatch, IncidentBundle,
-    IncidentReason, INCIDENT_FILTER,
+    IncidentReason,
 };
 use crate::packet::{Packet, Rank};
+use crate::plane::{Membership, Plane, PlaneSlots, Publish, DRILLDOWN_FILTER};
 use crate::proto::{decode_message, Envelope, FilterKind, Message, NetEvent, PerfCounters};
 use crate::stream::{Members, StreamId, StreamMode, StreamSpec, Tag};
 use crate::telemetry::{
     now_us, EventRing, LogHistogram, MetricsSample, SpanRing, TraceSpan, TraceStage,
-    METRICS_FILTER, TRACE_FILTER,
 };
 use crate::value::DataValue;
 
@@ -66,41 +66,18 @@ pub(crate) enum FeCommand {
     Shutdown {
         reply: Sender<Result<()>>,
     },
-    OpenMetrics {
+    /// Open one of the in-band planes. `interval` is the publish period
+    /// (ignored by on-event planes); `merge: false` swaps the plane's
+    /// merge filter for pass-through (metrics drill-down).
+    OpenPlane {
+        plane: Plane,
         interval: Duration,
         merge: bool,
-        reply: Sender<Result<(StreamId, Receiver<Packet>)>>,
-    },
-    OpenTrace {
-        interval: Duration,
-        reply: Sender<Result<(StreamId, Receiver<Packet>)>>,
-    },
-    OpenIncident {
         reply: Sender<Result<(StreamId, Receiver<Packet>)>>,
     },
     WaveLatency {
         reply: Sender<HashMap<StreamId, LogHistogram>>,
     },
-}
-
-/// State of this process's periodic metrics publishing (armed when a
-/// metrics stream is open — the process itself is a stream member).
-struct MetricsPublisher {
-    stream: StreamId,
-    interval: Duration,
-    next_fire: Instant,
-    seq: u64,
-    /// Counter values at the previous publish; samples carry deltas.
-    last: PerfCounters,
-}
-
-/// State of this process's periodic trace-batch publishing (armed while a
-/// trace stream is open — every process, leaf or not, is a member).
-struct TracePublisher {
-    stream: StreamId,
-    interval: Duration,
-    next_fire: Instant,
-    seq: u64,
 }
 
 /// Per-(stream, process) state.
@@ -232,10 +209,11 @@ pub(crate) struct CommProcess {
     pool_in_flight: usize,
     /// Bounded ring of structured lifecycle events.
     events: EventRing,
-    /// Armed while a metrics stream is open.
-    metrics: Option<MetricsPublisher>,
-    /// Armed while a trace stream is open.
-    trace_pub: Option<TracePublisher>,
+    /// Which in-band planes are open here, and when they next publish.
+    planes: PlaneSlots,
+    /// Counter values at the previous metrics publish; samples carry
+    /// deltas.
+    metrics_last: PerfCounters,
     /// Bounded ring of trace spans recorded at this process, drained into
     /// the trace stream each publish interval.
     spans: SpanRing,
@@ -275,9 +253,6 @@ pub(crate) struct CommProcess {
     /// and the child whose packet came last (the straggler).
     max_merge_gap_us: u64,
     max_merge_gap_from: u32,
-    /// Armed while an incident stream is open: flight-recorder captures
-    /// self-inject here.
-    incident_stream: Option<StreamId>,
     /// Local capture sequence — the low half of the incident id.
     incident_seq: u64,
     /// Counter snapshot at the previous capture (bundle counter deltas).
@@ -375,22 +350,66 @@ fn take_health_gap(st: &mut StreamState, waves: &[Vec<Packet>]) -> Option<(u64, 
     ))
 }
 
-/// Build the health-scoring state [`crate::config::HealthConfig`] asks for.
-fn new_health(config: &NetworkConfig) -> (Option<HealthMonitor>, Option<Instant>) {
-    if !config.health.enabled {
-        return (None, None);
-    }
-    (
-        Some(HealthMonitor::new(
-            config.health.warn_ratio,
-            config.health.warmup_samples,
-            config.health.min_warning_gap.as_micros() as u64,
-        )),
-        Some(Instant::now() + config.health.check_interval),
-    )
-}
-
 impl CommProcess {
+    fn new(
+        rank: Rank,
+        role: ProcessRole,
+        endpoint: NodeEndpoint,
+        topology: Arc<RwLock<Topology>>,
+        registry: Arc<FilterRegistry>,
+        config: NetworkConfig,
+    ) -> CommProcess {
+        let health_on = config.health.enabled;
+        CommProcess {
+            rank,
+            endpoint,
+            topology,
+            registry,
+            streams: HashMap::new(),
+            dead_children: HashSet::new(),
+            shutting_down: false,
+            shutdown_pending: HashSet::new(),
+            filter_probes: HashMap::new(),
+            orphaned_until: None,
+            perf: PerfCounters::default(),
+            failed_sends_reported: HashSet::new(),
+            wave_latency_interval: LogHistogram::new(),
+            wave_latency_by_stream: HashMap::new(),
+            filter_exec_interval: LogHistogram::new(),
+            executor_wait_interval: LogHistogram::new(),
+            pool: FilterPool::new(config.filter_pool, &config.name, rank),
+            pool_in_flight: 0,
+            events: EventRing::new(EVENT_RING_CAP),
+            planes: PlaneSlots::default(),
+            metrics_last: PerfCounters::default(),
+            spans: SpanRing::new(config.trace.ring_capacity),
+            lost_leaf_streams: HashMap::new(),
+            flow: HashMap::new(),
+            parked_by_stream: HashMap::new(),
+            held_waves: HashMap::new(),
+            consumed_frames: 0,
+            consumed_bytes: 0,
+            last_zero_grant: None,
+            health: health_on.then(|| {
+                HealthMonitor::new(
+                    config.health.warn_ratio,
+                    config.health.warmup_samples,
+                    config.health.min_warning_gap.as_micros() as u64,
+                )
+            }),
+            health_next_fire: health_on.then(|| Instant::now() + config.health.check_interval),
+            health_last: PerfCounters::default(),
+            health_on,
+            max_merge_gap_us: 0,
+            max_merge_gap_from: 0,
+            incident_seq: 0,
+            incident_last: PerfCounters::default(),
+            last_incident: None,
+            config,
+            role,
+        }
+    }
+
     pub(crate) fn new_internal(
         rank: Rank,
         parent: Rank,
@@ -399,56 +418,10 @@ impl CommProcess {
         registry: Arc<FilterRegistry>,
         config: NetworkConfig,
     ) -> CommProcess {
-        let pool = FilterPool::new(config.filter_pool, &config.name, rank);
-        let spans = SpanRing::new(config.trace.ring_capacity);
-        let (health, health_next_fire) = new_health(&config);
-        let health_on = config.health.enabled;
-        CommProcess {
-            rank,
-            endpoint,
-            topology,
-            registry,
-            config,
-            streams: HashMap::new(),
-            dead_children: HashSet::new(),
-            shutting_down: false,
-            shutdown_pending: HashSet::new(),
-            filter_probes: HashMap::new(),
-            orphaned_until: None,
-            perf: PerfCounters::default(),
-            failed_sends_reported: HashSet::new(),
-            wave_latency_interval: LogHistogram::new(),
-            wave_latency_by_stream: HashMap::new(),
-            filter_exec_interval: LogHistogram::new(),
-            executor_wait_interval: LogHistogram::new(),
-            pool,
-            pool_in_flight: 0,
-            events: EventRing::new(EVENT_RING_CAP),
-            metrics: None,
-            trace_pub: None,
-            spans,
-            lost_leaf_streams: HashMap::new(),
-            flow: HashMap::new(),
-            parked_by_stream: HashMap::new(),
-            held_waves: HashMap::new(),
-            consumed_frames: 0,
-            consumed_bytes: 0,
-            last_zero_grant: None,
-            health,
-            health_next_fire,
-            health_last: PerfCounters::default(),
-            health_on,
-            max_merge_gap_us: 0,
-            max_merge_gap_from: 0,
-            incident_stream: None,
-            incident_seq: 0,
-            incident_last: PerfCounters::default(),
-            last_incident: None,
-            role: ProcessRole::Internal { parent },
-        }
+        let role = ProcessRole::Internal { parent };
+        CommProcess::new(rank, role, endpoint, topology, registry, config)
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new_root(
         endpoint: NodeEndpoint,
         topology: Arc<RwLock<Topology>>,
@@ -457,74 +430,26 @@ impl CommProcess {
         fe_cmd: Receiver<FeCommand>,
         fe_events: Sender<NetEvent>,
     ) -> CommProcess {
-        let pool = FilterPool::new(config.filter_pool, &config.name, Rank(0));
-        let spans = SpanRing::new(config.trace.ring_capacity);
-        let (health, health_next_fire) = new_health(&config);
-        let health_on = config.health.enabled;
-        CommProcess {
-            rank: Rank(0),
-            endpoint,
-            topology,
-            registry,
-            config,
-            streams: HashMap::new(),
-            dead_children: HashSet::new(),
-            shutting_down: false,
-            shutdown_pending: HashSet::new(),
-            filter_probes: HashMap::new(),
-            orphaned_until: None,
-            perf: PerfCounters::default(),
-            failed_sends_reported: HashSet::new(),
-            wave_latency_interval: LogHistogram::new(),
-            wave_latency_by_stream: HashMap::new(),
-            filter_exec_interval: LogHistogram::new(),
-            executor_wait_interval: LogHistogram::new(),
-            pool,
-            pool_in_flight: 0,
-            events: EventRing::new(EVENT_RING_CAP),
-            metrics: None,
-            trace_pub: None,
-            spans,
-            lost_leaf_streams: HashMap::new(),
-            flow: HashMap::new(),
-            parked_by_stream: HashMap::new(),
-            held_waves: HashMap::new(),
-            consumed_frames: 0,
-            consumed_bytes: 0,
-            last_zero_grant: None,
-            health,
-            health_next_fire,
-            health_last: PerfCounters::default(),
-            health_on,
-            max_merge_gap_us: 0,
-            max_merge_gap_from: 0,
-            incident_stream: None,
-            incident_seq: 0,
-            incident_last: PerfCounters::default(),
-            last_incident: None,
-            role: ProcessRole::Root {
-                fe_cmd,
-                fe_events,
-                fe_streams: HashMap::new(),
-                next_stream: 1,
-                shutdown_reply: None,
-                filter_replies: HashMap::new(),
-            },
-        }
+        let role = ProcessRole::Root {
+            fe_cmd,
+            fe_events,
+            fe_streams: HashMap::new(),
+            next_stream: 1,
+            shutdown_reply: None,
+            filter_replies: HashMap::new(),
+        };
+        CommProcess::new(Rank(0), role, endpoint, topology, registry, config)
     }
 
     fn is_root(&self) -> bool {
         matches!(self.role, ProcessRole::Root { .. })
     }
 
-    /// True for streams belonging to the telemetry plane itself (the
-    /// metrics or trace stream): their waves are excluded from the perf
-    /// counters and never record spans, so the plane cannot perturb what
-    /// it measures.
+    /// True for the in-band planes' own streams: their waves are excluded
+    /// from the perf counters and never record spans, so the planes cannot
+    /// perturb what they measure.
     fn is_telemetry_stream(&self, stream: StreamId) -> bool {
-        self.metrics.as_ref().is_some_and(|m| m.stream == stream)
-            || self.trace_pub.as_ref().is_some_and(|t| t.stream == stream)
-            || self.incident_stream == Some(stream)
+        self.planes.of(stream).is_some()
     }
 
     /// Record a trace span with an explicit duration. No-op for untraced
@@ -681,7 +606,7 @@ impl CommProcess {
         // A forwarded incident batch gains this process's own view of the
         // same incident — the front end then sees the failure from both
         // sides of the link.
-        let pkt = if self.incident_stream == Some(pkt.stream()) && !self.is_root() {
+        let pkt = if self.planes.stream(Plane::Incident) == Some(pkt.stream()) && !self.is_root() {
             self.append_neighbor_view(pkt)
         } else {
             pkt
@@ -1305,9 +1230,9 @@ impl CommProcess {
             unreachable!("caller matched NewStream");
         };
         let stream_id = *stream;
-        // A stream whose members include this communication process is a
-        // telemetry stream: we contribute samples ourselves, so our own
-        // rank joins `expected` and a periodic publisher is armed.
+        // A stream whose members include this communication process is an
+        // in-band plane's stream: we contribute payloads ourselves, so our
+        // own rank joins `expected` and the plane's slot is armed.
         let self_member = members.contains(&self.rank);
         // Which children lead to members?
         let buckets = {
@@ -1357,32 +1282,19 @@ impl CommProcess {
                     },
                 );
                 self.events.push("stream_open", stream_id.to_string());
-                if self_member {
+                if let Some(plane) = Plane::of_filter(transformation).filter(|_| self_member) {
                     let interval_us = params.as_u64().filter(|v| *v > 0).unwrap_or(1_000_000);
                     let interval = Duration::from_micros(interval_us);
-                    if transformation == TRACE_FILTER {
-                        self.trace_pub = Some(TracePublisher {
-                            stream: stream_id,
-                            interval,
-                            next_fire: Instant::now() + interval,
-                            seq: 0,
-                        });
-                        self.events.push("trace_open", format!("{interval:?}"));
-                    } else if transformation == INCIDENT_FILTER {
-                        // The incident stream has no periodic publisher:
-                        // captures self-inject on trigger.
-                        self.incident_stream = Some(stream_id);
-                        self.events.push("incident_open", stream_id.to_string());
-                    } else {
-                        self.metrics = Some(MetricsPublisher {
-                            stream: stream_id,
-                            interval,
-                            next_fire: Instant::now() + interval,
-                            seq: 0,
-                            last: self.perf,
-                        });
-                        self.events.push("metrics_open", format!("{interval:?}"));
+                    self.planes.open(plane, stream_id, interval, Instant::now());
+                    if plane == Plane::Metrics {
+                        self.metrics_last = self.perf;
                     }
+                    let detail = match plane.desc().publish {
+                        Publish::OnInterval => format!("{stream_id} every {interval:?}"),
+                        Publish::OnEvent => stream_id.to_string(),
+                    };
+                    self.events
+                        .push(&format!("{}_open", plane.desc().name), detail);
                 }
             }
             (t, s, d) => {
@@ -1418,19 +1330,7 @@ impl CommProcess {
                 let _ = self.send_to_noted(child, msg);
             }
         }
-        if self.metrics.as_ref().is_some_and(|m| m.stream == stream_id) {
-            self.metrics = None;
-        }
-        if self
-            .trace_pub
-            .as_ref()
-            .is_some_and(|t| t.stream == stream_id)
-        {
-            self.trace_pub = None;
-        }
-        if self.incident_stream == Some(stream_id) {
-            self.incident_stream = None;
-        }
+        self.planes.close(stream_id);
         if let ProcessRole::Root { fe_streams, .. } = &mut self.role {
             fe_streams.remove(&stream_id);
         }
@@ -1703,9 +1603,6 @@ impl CommProcess {
             }
         }
         let rank = self.rank;
-        let metrics_stream = self.metrics.as_ref().map(|m| m.stream);
-        let trace_stream = self.trace_pub.as_ref().map(|t| t.stream);
-        let incident_stream = self.incident_stream;
         let ids: Vec<StreamId> = self.streams.keys().copied().collect();
         let now = Instant::now();
         for stream_id in ids {
@@ -1722,12 +1619,9 @@ impl CommProcess {
                     .filter(|c| !self.dead_children.contains(c))
                     .collect();
                 st.down_routes = routes.clone();
-                // On the telemetry streams this process is itself a
+                // On the planes' streams this process is itself a
                 // contributor; the recomputed routes must not evict it.
-                if metrics_stream == Some(stream_id)
-                    || trace_stream == Some(stream_id)
-                    || incident_stream == Some(stream_id)
-                {
+                if self.planes.of(stream_id).is_some() {
                     routes.push(rank);
                 }
                 st.expected = routes;
@@ -1759,12 +1653,11 @@ impl CommProcess {
         }
     }
 
-    /// Fire timer-based flushes whose deadline has passed, and publish a
-    /// metrics sample if the publish interval elapsed.
+    /// Fire timer-based flushes whose deadline has passed, and publish on
+    /// every plane whose interval elapsed.
     fn fire_deadlines(&mut self) {
         let now = Instant::now();
-        self.publish_metrics(now);
-        self.publish_trace(now);
+        self.publish_planes(now);
         self.sample_health(now);
         // Liveness through closed windows: a child whose window has been
         // closed with zero grants for a whole grant deadline is not slow,
@@ -1823,7 +1716,7 @@ impl CommProcess {
         }
     }
 
-    /// Earliest pending sync, telemetry-publish, health-sampling, or
+    /// Earliest pending sync, plane-publish, health-sampling, or
     /// closed-window liveness deadline.
     fn next_deadline(&self) -> Option<Instant> {
         let sync = self
@@ -1831,8 +1724,7 @@ impl CommProcess {
             .values()
             .filter_map(|st| st.sync.next_deadline())
             .min();
-        let publish = self.metrics.as_ref().map(|m| m.next_fire);
-        let trace = self.trace_pub.as_ref().map(|t| t.next_fire);
+        let publish = self.planes.next_fire();
         let health = self.health_next_fire;
         let grant_deadline = self.grant_deadline();
         let stall = self
@@ -1840,33 +1732,50 @@ impl CommProcess {
             .values()
             .filter_map(|f| f.closed_since.map(|t| t + grant_deadline))
             .min();
-        [sync, publish, trace, health, stall]
-            .into_iter()
-            .flatten()
-            .min()
+        [sync, publish, health, stall].into_iter().flatten().min()
     }
 
-    /// If the publish interval elapsed, build this interval's
-    /// [`MetricsSample`] and inject it into the metrics stream as if it
-    /// arrived from ourselves — it then merges with the children's samples
-    /// through the stream's ordinary wave machinery.
-    fn publish_metrics(&mut self, now: Instant) {
-        if self.metrics.as_ref().is_none_or(|m| now < m.next_fire) {
-            return;
+    /// Self-inject a payload into a plane's stream as if it arrived from
+    /// ourselves — it then merges with the children's payloads through the
+    /// stream's ordinary wave machinery.
+    fn inject(&mut self, stream: StreamId, seq: u64, value: DataValue) {
+        let rank = self.rank;
+        self.handle_up(rank, stream, Tag(seq as u32), rank, 0, 0, value);
+    }
+
+    /// Publish on every interval plane whose deadline passed: a
+    /// [`MetricsSample`] of this interval's counter deltas, or the span
+    /// ring's drain (bounded by the per-interval byte cap; an empty ring
+    /// publishes nothing). On-event planes never come due here — see
+    /// [`CommProcess::record_incident`].
+    fn publish_planes(&mut self, now: Instant) {
+        for plane in Plane::ALL {
+            let Some(due) = self.planes.due(plane, now) else {
+                continue;
+            };
+            let value = match plane {
+                Plane::Metrics => Some(self.metrics_sample(due.seq, due.interval).to_value()),
+                Plane::Trace if !self.spans.is_empty() => Some(
+                    self.spans
+                        .drain_batch(self.config.trace.max_bytes_per_interval)
+                        .to_value(),
+                ),
+                Plane::Trace | Plane::Incident => None,
+            };
+            if let Some(value) = value {
+                self.inject(due.stream, due.seq, value);
+            }
         }
+    }
+
+    /// This interval's [`MetricsSample`]: counter deltas since the previous
+    /// publish plus the interval histograms, which it drains.
+    fn metrics_sample(&mut self, seq: u64, interval: Duration) -> MetricsSample {
         // Batching counters live in the writer threads; pull them into the
         // perf block so the delta below reflects this interval's batching.
         self.refresh_transport_counters();
-        let m = self.metrics.as_mut().expect("checked above");
-        while m.next_fire <= now {
-            m.next_fire += m.interval;
-        }
-        m.seq += 1;
-        let seq = m.seq;
-        let stream = m.stream;
-        let interval_us = m.interval.as_micros() as u64;
-        let delta = self.perf.delta_since(&m.last);
-        m.last = self.perf;
+        let delta = self.perf.delta_since(&self.metrics_last);
+        self.metrics_last = self.perf;
 
         let mut queue_depth = LogHistogram::new();
         for peer in self.endpoint.peers.ids() {
@@ -1886,9 +1795,9 @@ impl CommProcess {
         };
         let mut level_packets_up = vec![0u64; level + 1];
         level_packets_up[level] = delta.packets_up;
-        let sample = MetricsSample {
+        MetricsSample {
             seq,
-            interval_us,
+            interval_us: interval.as_micros() as u64,
             processes: 1,
             counters: delta,
             wave_latency_us: std::mem::take(&mut self.wave_latency_interval),
@@ -1901,35 +1810,7 @@ impl CommProcess {
             recovery_us: LogHistogram::new(),
             level_packets_up,
             events_dropped: self.events.dropped(),
-        };
-        let rank = self.rank;
-        self.handle_up(rank, stream, Tag(seq as u32), rank, 0, 0, sample.to_value());
-    }
-
-    /// If the trace publish interval elapsed, drain this process's span
-    /// ring (bounded by the per-interval byte cap) and inject the batch
-    /// into the trace stream as if it arrived from ourselves — it then
-    /// concatenates with the children's batches through the stream's
-    /// ordinary wave machinery. An empty ring publishes nothing.
-    fn publish_trace(&mut self, now: Instant) {
-        if self.trace_pub.as_ref().is_none_or(|t| now < t.next_fire) {
-            return;
         }
-        let t = self.trace_pub.as_mut().expect("checked above");
-        while t.next_fire <= now {
-            t.next_fire += t.interval;
-        }
-        t.seq += 1;
-        let seq = t.seq;
-        let stream = t.stream;
-        if self.spans.is_empty() {
-            return;
-        }
-        let batch = self
-            .spans
-            .drain_batch(self.config.trace.max_bytes_per_interval);
-        let rank = self.rank;
-        self.handle_up(rank, stream, Tag(seq as u32), rank, 0, 0, batch.to_value());
     }
 
     /// Fold the writer threads' batching counters into the perf block.
@@ -2036,7 +1917,7 @@ impl CommProcess {
         subject: Rank,
         trigger: Option<HealthScore>,
     ) {
-        let Some(stream) = self.incident_stream else {
+        let Some(stream) = self.planes.stream(Plane::Incident) else {
             return;
         };
         let now = Instant::now();
@@ -2053,11 +1934,9 @@ impl CommProcess {
         let bundle = self.capture_bundle(incident, reason, subject, trigger);
         let batch = IncidentBatch {
             dropped: 0,
-            bundles: vec![bundle],
+            items: vec![bundle],
         };
-        let rank = self.rank;
-        let seq = self.incident_seq;
-        self.handle_up(rank, stream, Tag(seq as u32), rank, 0, 0, batch.to_value());
+        self.inject(stream, self.incident_seq, batch.to_value());
     }
 
     /// Freeze-copy this process's forensic state, bounded by
@@ -2121,15 +2000,15 @@ impl CommProcess {
         let Ok(mut batch) = IncidentBatch::from_value(pkt.value()) else {
             return pkt;
         };
-        let Some(first) = batch.bundles.first() else {
+        let Some(first) = batch.items.first() else {
             return pkt;
         };
-        if batch.bundles.iter().any(|b| b.rank == self.rank) {
+        if batch.items.iter().any(|b| b.rank == self.rank) {
             return pkt;
         }
         let (incident, origin) = (first.incident, first.rank);
         let neighbor = self.capture_bundle(incident, IncidentReason::Neighbor, origin, None);
-        batch.bundles.push(neighbor);
+        batch.items.push(neighbor);
         Packet::traced(
             pkt.stream(),
             pkt.tag(),
@@ -2336,22 +2215,13 @@ impl CommProcess {
                 }
                 false
             }
-            FeCommand::OpenMetrics {
+            FeCommand::OpenPlane {
+                plane,
                 interval,
                 merge,
                 reply,
             } => {
-                let result = self.fe_open_metrics(interval, merge);
-                let _ = reply.send(result);
-                false
-            }
-            FeCommand::OpenTrace { interval, reply } => {
-                let result = self.fe_open_trace(interval);
-                let _ = reply.send(result);
-                false
-            }
-            FeCommand::OpenIncident { reply } => {
-                let result = self.fe_open_incident();
+                let result = self.fe_open_plane(plane, interval, merge);
                 let _ = reply.send(result);
                 false
             }
@@ -2362,132 +2232,27 @@ impl CommProcess {
         }
     }
 
-    /// Open the telemetry stream: every communication process (this root
-    /// and all internals) is a member and publishes a sample per interval.
-    /// With `merge` the built-in `telemetry::metrics_merge` filter folds
-    /// them level-by-level so the front-end sees one sample per interval;
-    /// without it, identity passes every per-rank sample through for
-    /// drill-down.
-    fn fe_open_metrics(
+    /// Open one of the in-band planes (see `plane.rs`): a reserved stream
+    /// whose members are the plane's publishers — the communication
+    /// processes, plus every live back-end where the plane's descriptor
+    /// says so — merged hop by hop by the plane's filter and synchronized
+    /// by the plane's policy. With `merge` off the filter is swapped for
+    /// pass-through, so every publisher's payload reaches the front end
+    /// individually (metrics drill-down).
+    fn fe_open_plane(
         &mut self,
+        plane: Plane,
         interval: Duration,
         merge: bool,
     ) -> Result<(StreamId, Receiver<Packet>)> {
-        if let Some(m) = &self.metrics {
+        let desc = plane.desc();
+        if let Some(open) = self.planes.stream(plane) {
             return Err(TbonError::Filter(format!(
-                "metrics stream {} is already open",
-                m.stream
+                "{} stream {open} is already open",
+                desc.name
             )));
         }
-        let members: Vec<Rank> = {
-            let topo = self.topology.read();
-            topo.node_ids()
-                .filter(|&n| matches!(topo.role(n), Role::FrontEnd | Role::Internal))
-                .map(|n| Rank(n.0))
-                .collect()
-        };
-        let stream_id = match &mut self.role {
-            ProcessRole::Root { next_stream, .. } => {
-                let id = StreamId(*next_stream);
-                *next_stream += 1;
-                id
-            }
-            ProcessRole::Internal { .. } => unreachable!("fe_open_metrics on internal"),
-        };
-        let transformation = if merge {
-            METRICS_FILTER
-        } else {
-            "core::identity"
-        };
-        let msg = envelope(Message::NewStream {
-            stream: stream_id,
-            members,
-            transformation: transformation.to_owned(),
-            params: DataValue::U64(interval.as_micros() as u64),
-            sync_name: "sync::wait_for_all".to_owned(),
-            sync_params: DataValue::Unit,
-            downstream_filter: None,
-            downstream_params: DataValue::Unit,
-            mode: StreamMode::Upstream,
-        });
-        self.handle_new_stream(&msg);
-        if !self.streams.contains_key(&stream_id) {
-            return Err(TbonError::Filter(format!(
-                "failed to instantiate metrics stream {stream_id} at root"
-            )));
-        }
-        let (tx, rx) = crossbeam_channel::unbounded();
-        if let ProcessRole::Root { fe_streams, .. } = &mut self.role {
-            fe_streams.insert(stream_id, tx);
-        }
-        Ok((stream_id, rx))
-    }
-
-    /// Open the incident stream: the flight-recorder plane. Members are the
-    /// communication processes (the forensic state lives there); bundles
-    /// are event-driven, so the stream synchronizes with `sync::null` —
-    /// every capture forwards immediately, and `health::incident_gather`
-    /// concatenates whatever batches share a wave under a byte cap.
-    fn fe_open_incident(&mut self) -> Result<(StreamId, Receiver<Packet>)> {
-        if let Some(s) = self.incident_stream {
-            return Err(TbonError::Filter(format!(
-                "incident stream {s} is already open"
-            )));
-        }
-        let members: Vec<Rank> = {
-            let topo = self.topology.read();
-            topo.node_ids()
-                .filter(|&n| matches!(topo.role(n), Role::FrontEnd | Role::Internal))
-                .map(|n| Rank(n.0))
-                .collect()
-        };
-        let stream_id = match &mut self.role {
-            ProcessRole::Root { next_stream, .. } => {
-                let id = StreamId(*next_stream);
-                *next_stream += 1;
-                id
-            }
-            ProcessRole::Internal { .. } => unreachable!("fe_open_incident on internal"),
-        };
-        let msg = envelope(Message::NewStream {
-            stream: stream_id,
-            members,
-            transformation: INCIDENT_FILTER.to_owned(),
-            params: DataValue::Unit,
-            sync_name: "sync::null".to_owned(),
-            sync_params: DataValue::Unit,
-            downstream_filter: None,
-            downstream_params: DataValue::Unit,
-            mode: StreamMode::Upstream,
-        });
-        self.handle_new_stream(&msg);
-        if !self.streams.contains_key(&stream_id) {
-            return Err(TbonError::Filter(format!(
-                "failed to instantiate incident stream {stream_id} at root"
-            )));
-        }
-        let (tx, rx) = crossbeam_channel::unbounded();
-        if let ProcessRole::Root { fe_streams, .. } = &mut self.role {
-            fe_streams.insert(stream_id, tx);
-        }
-        Ok((stream_id, rx))
-    }
-
-    /// Open the trace stream: **every** live rank is a member — the
-    /// communication processes publish their span rings on a timer, and
-    /// the back-ends piggyback theirs opportunistically after each sampled
-    /// send (leaves have no timers). Because leaf batches arrive
-    /// irregularly, the stream synchronizes with `sync::time_out` rather
-    /// than `wait_for_all`: each hop forwards whatever batches landed
-    /// within the window instead of waiting on every child.
-    fn fe_open_trace(&mut self, interval: Duration) -> Result<(StreamId, Receiver<Packet>)> {
-        if let Some(t) = &self.trace_pub {
-            return Err(TbonError::Filter(format!(
-                "trace stream {} is already open",
-                t.stream
-            )));
-        }
-        if !self.config.trace.enabled() {
+        if plane == Plane::Trace && !self.config.trace.enabled() {
             return Err(TbonError::Filter(
                 "tracing is disabled (NetworkConfig.trace.sample_every is 0)".into(),
             ));
@@ -2495,34 +2260,44 @@ impl CommProcess {
         let members: Vec<Rank> = {
             let topo = self.topology.read();
             topo.node_ids()
-                .filter(|&n| topo.role(n) != Role::Detached)
+                .filter(|&n| match topo.role(n) {
+                    Role::FrontEnd | Role::Internal => true,
+                    Role::BackEnd => desc.membership == Membership::EveryLiveRank,
+                    Role::Detached => false,
+                })
                 .map(|n| Rank(n.0))
                 .collect()
         };
-        let stream_id = match &mut self.role {
-            ProcessRole::Root { next_stream, .. } => {
-                let id = StreamId(*next_stream);
-                *next_stream += 1;
-                id
-            }
-            ProcessRole::Internal { .. } => unreachable!("fe_open_trace on internal"),
-        };
-        let window_ms = (interval.as_millis() as u64).max(1);
-        let msg = envelope(Message::NewStream {
-            stream: stream_id,
+        let transformation = if merge { desc.filter } else { DRILLDOWN_FILTER };
+        self.fe_create_stream(|stream| Message::NewStream {
+            stream,
             members,
-            transformation: TRACE_FILTER.to_owned(),
+            transformation: transformation.to_owned(),
             params: DataValue::U64(interval.as_micros() as u64),
-            sync_name: "sync::time_out".to_owned(),
-            sync_params: DataValue::U64(window_ms),
+            sync_name: desc.sync.to_owned(),
+            sync_params: plane.sync_params(interval),
             downstream_filter: None,
             downstream_params: DataValue::Unit,
             mode: StreamMode::Upstream,
-        });
-        self.handle_new_stream(&msg);
+        })
+    }
+
+    /// Allocate the next stream id, instantiate the stream `new_stream`
+    /// describes for it (a `NewStream` message) at the root and down the
+    /// tree, and hand its receive end to the front end.
+    fn fe_create_stream(
+        &mut self,
+        new_stream: impl FnOnce(StreamId) -> Message,
+    ) -> Result<(StreamId, Receiver<Packet>)> {
+        let ProcessRole::Root { next_stream, .. } = &mut self.role else {
+            unreachable!("front-end command on an internal process");
+        };
+        let stream_id = StreamId(*next_stream);
+        *next_stream += 1;
+        self.handle_new_stream(&envelope(new_stream(stream_id)));
         if !self.streams.contains_key(&stream_id) {
             return Err(TbonError::Filter(format!(
-                "failed to instantiate trace stream {stream_id} at root"
+                "failed to instantiate filters for {stream_id} at root"
             )));
         }
         let (tx, rx) = crossbeam_channel::unbounded();
@@ -2592,17 +2367,8 @@ impl CommProcess {
             }
         }
 
-        let stream_id = match &mut self.role {
-            ProcessRole::Root { next_stream, .. } => {
-                let id = StreamId(*next_stream);
-                *next_stream += 1;
-                id
-            }
-            ProcessRole::Internal { .. } => unreachable!("fe_new_stream on internal"),
-        };
-
-        let msg = envelope(Message::NewStream {
-            stream: stream_id,
+        self.fe_create_stream(|stream| Message::NewStream {
+            stream,
             members,
             transformation: spec.transformation,
             params: spec.params,
@@ -2611,19 +2377,7 @@ impl CommProcess {
             downstream_filter: spec.downstream_filter,
             downstream_params: spec.downstream_params,
             mode: spec.mode,
-        });
-        self.handle_new_stream(&msg);
-        if !self.streams.contains_key(&stream_id) {
-            return Err(TbonError::Filter(format!(
-                "failed to instantiate filters for {stream_id} at root"
-            )));
-        }
-
-        let (tx, rx) = crossbeam_channel::unbounded();
-        if let ProcessRole::Root { fe_streams, .. } = &mut self.role {
-            fe_streams.insert(stream_id, tx);
-        }
-        Ok((stream_id, rx))
+        })
     }
 
     /// The event loop. Runs until shutdown completes or the parent vanishes.

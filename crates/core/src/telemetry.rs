@@ -21,6 +21,7 @@ use crate::codec::Reader;
 use crate::error::{Result, TbonError};
 use crate::filter::{FilterContext, Transformation, Wave};
 use crate::packet::Packet;
+use crate::plane::{decode_exact, Batch, BatchItem, CappedConcat, PlanePayload};
 use crate::proto::{
     decode_perf_counters, encode_perf_counters, PerfCounters, PERF_COUNTERS_WIRE_LEN,
 };
@@ -381,17 +382,7 @@ impl MetricsSample {
     }
 
     pub fn from_value(v: &DataValue) -> Result<MetricsSample> {
-        let bytes = v
-            .as_bytes()
-            .ok_or_else(|| TbonError::Decode("metrics sample payload must be Bytes".into()))?;
-        let mut r = Reader::new(bytes);
-        let s = Self::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(TbonError::Decode(
-                "trailing bytes after metrics sample".into(),
-            ));
-        }
-        Ok(s)
+        decode_exact(v, "metrics sample", Self::decode)
     }
 
     /// Prometheus text exposition: counters as `_total`, histograms with
@@ -511,6 +502,19 @@ impl MetricsSample {
             levels.join(","),
             self.events_dropped,
         )
+    }
+}
+
+impl PlanePayload for MetricsSample {
+    fn from_payload(value: &DataValue) -> Result<Self> {
+        Self::from_value(value)
+    }
+
+    /// Recovery is recorded at the front end (the supervisor lives there),
+    /// so publishing processes leave [`MetricsSample::recovery_us`] empty
+    /// on the wire and the handle fills it in on receipt.
+    fn graft_recovery(&mut self, recovery: &parking_lot::Mutex<LogHistogram>) {
+        self.recovery_us = recovery.lock().clone();
     }
 }
 
@@ -788,8 +792,11 @@ pub struct TraceSpan {
 /// Exact wire size of one encoded [`TraceSpan`].
 pub const TRACE_SPAN_WIRE_LEN: usize = 8 + 4 + 4 + 1 + 8 + 8 + 8;
 
-impl TraceSpan {
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+impl BatchItem for TraceSpan {
+    const MIN_WIRE_LEN: usize = TRACE_SPAN_WIRE_LEN;
+    const WHAT: &'static str = "trace batch";
+
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.trace.to_le_bytes());
         buf.extend_from_slice(&self.rank.to_le_bytes());
         buf.extend_from_slice(&self.stream.to_le_bytes());
@@ -799,7 +806,7 @@ impl TraceSpan {
         buf.extend_from_slice(&self.detail.to_le_bytes());
     }
 
-    pub fn decode(r: &mut Reader<'_>) -> Result<TraceSpan> {
+    fn decode(r: &mut Reader<'_>) -> Result<TraceSpan> {
         let trace = r.u64()?;
         let rank = r.u32()?;
         let stream = r.u32()?;
@@ -816,6 +823,10 @@ impl TraceSpan {
             dur_us,
             detail,
         })
+    }
+
+    fn encoded_len(&self) -> usize {
+        TRACE_SPAN_WIRE_LEN
     }
 }
 
@@ -859,7 +870,7 @@ impl SpanRing {
         let fit = (max_bytes / TRACE_SPAN_WIRE_LEN).max(1).min(self.buf.len());
         TraceBatch {
             dropped: self.dropped,
-            spans: self.buf.drain(..fit).collect(),
+            items: self.buf.drain(..fit).collect(),
         }
     }
 
@@ -876,64 +887,13 @@ impl SpanRing {
     }
 }
 
-/// A batch of spans in flight on the trace stream: one process's interval
-/// drain, or — after passing through [`TraceGather`] — a subtree's.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TraceBatch {
-    /// Lifetime spans evicted from contributing rings (plus spans cut by
-    /// the gather byte cap).
-    pub dropped: u64,
-    pub spans: Vec<TraceSpan>,
-}
+/// Spans in flight on the trace stream: one process's interval drain, or
+/// — after passing through [`TraceGather`] — a subtree's. `dropped` counts
+/// spans evicted from contributing rings plus spans cut by the gather cap.
+pub type TraceBatch = Batch<TraceSpan>;
 
-impl TraceBatch {
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.dropped.to_le_bytes());
-        buf.extend_from_slice(&(self.spans.len() as u32).to_le_bytes());
-        for s in &self.spans {
-            s.encode(buf);
-        }
-    }
-
-    pub fn decode(r: &mut Reader<'_>) -> Result<TraceBatch> {
-        let dropped = r.u64()?;
-        let n = r.len_prefix(TRACE_SPAN_WIRE_LEN)?;
-        let mut spans = Vec::with_capacity(n);
-        for _ in 0..n {
-            spans.push(TraceSpan::decode(r)?);
-        }
-        Ok(TraceBatch { dropped, spans })
-    }
-
-    pub fn encoded_len(&self) -> usize {
-        8 + 4 + TRACE_SPAN_WIRE_LEN * self.spans.len()
-    }
-
-    /// Pack into the opaque-bytes payload a trace packet carries.
-    pub fn to_value(&self) -> DataValue {
-        let mut buf = Vec::with_capacity(self.encoded_len());
-        self.encode(&mut buf);
-        DataValue::Bytes(buf)
-    }
-
-    pub fn from_value(v: &DataValue) -> Result<TraceBatch> {
-        let bytes = v
-            .as_bytes()
-            .ok_or_else(|| TbonError::Decode("trace batch payload must be Bytes".into()))?;
-        let mut r = Reader::new(bytes);
-        let b = Self::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(TbonError::Decode("trailing bytes after trace batch".into()));
-        }
-        Ok(b)
-    }
-}
-
-/// The built-in transformation behind [`TRACE_FILTER`]: concatenates every
-/// decodable [`TraceBatch`] in a wave into one, enforcing a byte cap so a
-/// span storm cannot monopolise upstream bandwidth — spans cut by the cap
-/// are counted into `dropped`, never silently lost. Undecodable packets
-/// are skipped (same resilience rule as [`MetricsMerge`]).
+/// The built-in transformation behind [`TRACE_FILTER`]: the shared
+/// [`CappedConcat`] gather over [`TraceSpan`]s.
 #[derive(Debug)]
 pub struct TraceGather {
     /// Encoded span bytes one gathered batch may carry.
@@ -948,34 +908,11 @@ impl Default for TraceGather {
     }
 }
 
-impl Transformation for TraceGather {
-    fn transform(&mut self, wave: Wave, ctx: &mut FilterContext) -> Result<Vec<Packet>> {
-        let mut acc: Option<TraceBatch> = None;
-        let mut tag = Tag(0);
-        let max_spans = (self.max_bytes / TRACE_SPAN_WIRE_LEN).max(1);
-        for pkt in &wave {
-            let Ok(b) = TraceBatch::from_value(pkt.value()) else {
-                continue;
-            };
-            tag = pkt.tag();
-            match &mut acc {
-                Some(a) => {
-                    a.dropped = a.dropped.saturating_add(b.dropped);
-                    a.spans.extend(b.spans);
-                }
-                None => acc = Some(b),
-            }
-        }
-        Ok(match acc {
-            Some(mut b) => {
-                if b.spans.len() > max_spans {
-                    b.dropped = b.dropped.saturating_add((b.spans.len() - max_spans) as u64);
-                    b.spans.truncate(max_spans);
-                }
-                vec![ctx.make(tag, b.to_value())]
-            }
-            None => Vec::new(),
-        })
+impl CappedConcat for TraceGather {
+    type Item = TraceSpan;
+
+    fn max_bytes(&self) -> usize {
+        self.max_bytes
     }
 }
 
@@ -1350,7 +1287,7 @@ mod tests {
     fn trace_span_and_batch_roundtrip() {
         let b = TraceBatch {
             dropped: 3,
-            spans: vec![
+            items: vec![
                 span(9, 1, TraceStage::BackendInject, 10),
                 span(9, 2, TraceStage::ChildMerge, 500),
                 TraceSpan {
@@ -1399,58 +1336,15 @@ mod tests {
         // A cap of two spans' worth of bytes drains exactly two (oldest
         // first), leaving the rest for the next interval.
         let batch = ring.drain_batch(2 * TRACE_SPAN_WIRE_LEN);
-        assert_eq!(batch.spans.len(), 2);
-        assert_eq!(batch.spans[0].trace, 2);
+        assert_eq!(batch.items.len(), 2);
+        assert_eq!(batch.items[0].trace, 2);
         assert_eq!(batch.dropped, 2);
         assert_eq!(ring.len(), 2);
         // A degenerate cap still makes progress: one span per drain.
         let batch = ring.drain_batch(1);
-        assert_eq!(batch.spans.len(), 1);
+        assert_eq!(batch.items.len(), 1);
         assert!(!ring.is_empty());
         ring.drain_batch(usize::MAX);
         assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn trace_gather_concatenates_caps_and_skips_junk() {
-        let mut f = TraceGather {
-            max_bytes: 3 * TRACE_SPAN_WIRE_LEN,
-        };
-        let mut ctx = FilterContext::new(StreamId(9), Rank(1), false, 2);
-        let b1 = TraceBatch {
-            dropped: 1,
-            spans: vec![
-                span(4, 3, TraceStage::BackendInject, 5),
-                span(4, 3, TraceStage::UpstreamSend, 6),
-            ],
-        };
-        let b2 = TraceBatch {
-            dropped: 0,
-            spans: vec![
-                span(4, 5, TraceStage::BackendInject, 7),
-                span(8, 5, TraceStage::FilterExec, 8),
-            ],
-        };
-        let wave = vec![
-            Packet::new(StreamId(9), Tag(2), Rank(3), b1.to_value()),
-            Packet::new(StreamId(9), Tag(2), Rank(5), b2.to_value()),
-            // Junk is skipped, not fatal.
-            Packet::new(StreamId(9), Tag(2), Rank(6), DataValue::U64(1)),
-        ];
-        let out = f.transform(wave, &mut ctx).expect("gather");
-        assert_eq!(out.len(), 1);
-        let merged = TraceBatch::from_value(out[0].value()).unwrap();
-        // Four spans offered, cap fits three; the cut span is accounted.
-        assert_eq!(merged.spans.len(), 3);
-        assert_eq!(merged.dropped, 1 + 1);
-
-        // No decodable batches → no output at all.
-        let empty = f
-            .transform(
-                vec![Packet::new(StreamId(9), Tag(0), Rank(3), DataValue::Unit)],
-                &mut ctx,
-            )
-            .expect("empty");
-        assert!(empty.is_empty());
     }
 }

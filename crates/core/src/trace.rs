@@ -99,7 +99,7 @@ impl TraceAssembler {
     /// Fold one received batch in.
     pub fn absorb(&mut self, batch: &TraceBatch) {
         self.dropped = self.dropped.max(batch.dropped);
-        for &s in &batch.spans {
+        for &s in &batch.items {
             self.spans += 1;
             self.waves
                 .entry(s.trace)
@@ -253,7 +253,10 @@ mod tests {
     }
 
     fn batch(spans: Vec<TraceSpan>, dropped: u64) -> TraceBatch {
-        TraceBatch { dropped, spans }
+        TraceBatch {
+            dropped,
+            items: spans,
+        }
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! Property-based tests for the core codec and protocol.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use tbon_core::codec::{decode_value, encode_value_to_vec};
 use tbon_core::proto::{decode_message, encode_message, message_encoded_len, Message};
-use tbon_core::{DataValue, Rank, StreamId, StreamMode, Tag};
+use tbon_core::{
+    Batch, BatchItem, CappedConcat, DataValue, FilterContext, IncidentBundle, IncidentGather,
+    IncidentReason, LoggedEvent, Packet, PerfCounters, Rank, StreamId, StreamMode, Tag,
+    TraceGather, TraceSpan, TraceStage, Transformation,
+};
 
 /// Strategy for arbitrary `DataValue`s with bounded depth and size.
 fn value_strategy() -> impl Strategy<Value = DataValue> {
@@ -348,5 +353,135 @@ mod fmt_props {
             // The format parses to as many items as there are args.
             prop_assert_eq!(parse_format(&fmt).unwrap().len(), args.len());
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The shared capped-concat gather (plane.rs), once per concatenating plane.
+// ---------------------------------------------------------------------------
+
+/// One generated packet of a wave: `None` is junk that must be skipped,
+/// `Some((dropped, seeds))` a batch of one item per seed.
+type GenPacket = Option<(u64, Vec<u64>)>;
+
+fn gen_waves() -> impl Strategy<Value = Vec<Vec<GenPacket>>> {
+    let packet = (
+        0u8..5,
+        0u64..1000,
+        prop::collection::vec(any::<u64>(), 0..6),
+    )
+        .prop_map(|(kind, dropped, seeds)| (kind > 0).then_some((dropped, seeds)));
+    prop::collection::vec(prop::collection::vec(packet, 1..6), 1..5)
+}
+
+fn span_from(seed: u64) -> TraceSpan {
+    TraceSpan {
+        trace: seed | 1,
+        rank: (seed >> 8) as u32,
+        stream: (seed >> 16) as u32 & 0xff,
+        stage: TraceStage::ALL[(seed % 8) as usize],
+        start_us: seed >> 3,
+        dur_us: seed >> 40,
+        detail: seed % 17,
+    }
+}
+
+/// Bundles of varying size: the event and child lists grow with the seed.
+fn bundle_from(seed: u64) -> IncidentBundle {
+    IncidentBundle {
+        incident: seed,
+        rank: Rank((seed >> 32) as u32),
+        reason: IncidentReason::ALL[(seed % 6) as usize],
+        subject: Rank(seed as u32),
+        at_us: seed >> 7,
+        parent: Rank(0),
+        children: (0..seed % 4).map(|c| Rank(c as u32)).collect(),
+        counters: PerfCounters::default(),
+        trigger: None,
+        scores: Vec::new(),
+        flow: Vec::new(),
+        events: (0..seed % 5)
+            .map(|i| LoggedEvent {
+                at_us: i,
+                kind: "tick".into(),
+                detail: "x".repeat((seed % 40) as usize),
+            })
+            .collect(),
+        spans: (0..seed % 3).map(span_from).collect(),
+    }
+}
+
+/// For every wave: items kept + `dropped` out = items + `dropped` in; the
+/// kept items are the oldest ones, in order, and as many as the cap
+/// allows — their encoding fits the cap, or there is exactly one of them
+/// and it alone exceeds it; undecodable packets are skipped.
+fn gather_conserves<G>(
+    mut gather: G,
+    make: impl Fn(u64) -> G::Item,
+    waves: &[Vec<GenPacket>],
+) -> Result<(), TestCaseError>
+where
+    G: CappedConcat,
+    G::Item: PartialEq + std::fmt::Debug,
+{
+    let cap = gather.max_bytes();
+    let mut ctx = FilterContext::new(StreamId(3), Rank(1), false, 4);
+    for wave in waves {
+        let mut offered: Vec<G::Item> = Vec::new();
+        let mut dropped_in = 0u64;
+        let mut packets = Vec::new();
+        for (from, packet) in wave.iter().enumerate() {
+            let value = match packet {
+                None => DataValue::U64(from as u64),
+                Some((dropped, seeds)) => {
+                    dropped_in += dropped;
+                    offered.extend(seeds.iter().map(|&s| make(s)));
+                    Batch {
+                        dropped: *dropped,
+                        items: seeds.iter().map(|&s| make(s)).collect(),
+                    }
+                    .to_value()
+                }
+            };
+            packets.push(Packet::new(StreamId(3), Tag(9), Rank(from as u32), value));
+        }
+        let out = gather.transform(packets, &mut ctx).unwrap();
+        if wave.iter().all(Option::is_none) {
+            prop_assert!(out.is_empty(), "junk alone must produce nothing");
+            continue;
+        }
+        prop_assert_eq!(out.len(), 1);
+        let batch = Batch::<G::Item>::from_value(out[0].value()).unwrap();
+        let kept = batch.items.len();
+        prop_assert_eq!(
+            kept as u64 + batch.dropped,
+            offered.len() as u64 + dropped_in
+        );
+        prop_assert_eq!(&batch.items[..], &offered[..kept]);
+        let kept_bytes: usize = batch.items.iter().map(BatchItem::encoded_len).sum();
+        prop_assert!(
+            kept_bytes <= cap || kept == 1,
+            "{kept_bytes} bytes under cap {cap}"
+        );
+        prop_assert!(
+            kept > 0 || offered.is_empty(),
+            "a tiny cap must not wedge the plane"
+        );
+        if let Some(cut) = offered.get(kept) {
+            prop_assert!(kept_bytes + cut.encoded_len() > cap, "cut an item that fit");
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn trace_gather_conserves_items_under_its_cap(waves in gen_waves(), cap in 1usize..1200) {
+        gather_conserves(TraceGather { max_bytes: cap }, span_from, &waves)?;
+    }
+
+    #[test]
+    fn incident_gather_conserves_items_under_its_cap(waves in gen_waves(), cap in 1usize..4000) {
+        gather_conserves(IncidentGather { max_bytes: cap }, bundle_from, &waves)?;
     }
 }

@@ -195,9 +195,7 @@ pub fn simulate_waves(
 /// consumes one merged sample per interval.
 ///
 /// Scale-invariance is the claim worth modelling: the tax depends on the
-/// widest fan-in and the interval, not on the number of back-ends — the
-/// same shape the measured `results/BENCH_telemetry.json` baseline shows
-/// (~1% at 1 s on a 64-leaf tree).
+/// widest fan-in and the interval, not on the number of back-ends.
 pub fn telemetry_tax(
     topology: &Topology,
     link: LinkModel,

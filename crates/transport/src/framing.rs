@@ -72,7 +72,7 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, Transpo
     Ok(true)
 }
 
-fn io_err(e: io::Error) -> TransportError {
+pub(crate) fn io_err(e: io::Error) -> TransportError {
     TransportError::Io(e.to_string())
 }
 

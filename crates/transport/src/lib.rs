@@ -26,6 +26,7 @@ pub mod fault;
 pub mod framing;
 pub mod local;
 pub mod shaped;
+pub mod socket;
 pub mod tcp;
 #[cfg(unix)]
 pub mod uds;

@@ -1,74 +1,53 @@
 //! TCP transport over loopback sockets.
 //!
-//! Every edge of the overlay is one real TCP connection carrying
-//! length-prefixed frames in both directions, so data crosses the kernel
-//! exactly as it would between cluster hosts (the paper's testbed used TCP
-//! over Gigabit Ethernet). Per-node accept loops and per-connection reader
-//! threads multiplex everything into the node's single [`Delivery`] queue;
-//! each outbound direction is a `crate::writer` link — a bounded queue in
-//! front of a dedicated writer thread — so `send` never blocks the caller
-//! on a slow peer's socket.
+//! The [`crate::socket`] transport over real TCP connections, so data
+//! crosses the kernel exactly as it would between cluster hosts (the
+//! paper's testbed used TCP over Gigabit Ethernet).
 
-use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
 
-use crossbeam_channel::{unbounded, Sender};
-use parking_lot::Mutex;
+use crate::socket::{Family, SocketTransport};
+use crate::{PeerId, WriterConfig};
 
-use crate::framing::read_frame;
-use crate::writer::WriterLink;
-use crate::{
-    Delivery, Frame, NodeEndpoint, PeerId, Peers, Transport, TransportError, WriterConfig,
-};
+/// The loopback TCP address family.
+pub struct Tcp;
 
-/// Build the writer-thread link for one outbound TCP direction.
-fn tcp_link(
-    to: PeerId,
-    stream: &TcpStream,
-    cfg: WriterConfig,
-) -> Result<WriterLink, TransportError> {
-    let write_half = stream
-        .try_clone()
-        .map_err(|e| TransportError::Io(e.to_string()))?;
-    let stall_half = stream
-        .try_clone()
-        .map_err(|e| TransportError::Io(e.to_string()))?;
-    Ok(WriterLink::spawn(
-        to,
-        write_half,
-        cfg,
-        format!("tbon-tcp-write-{to}"),
-        move || {
-            let _ = stall_half.shutdown(Shutdown::Both);
-        },
-    ))
-}
+impl Family for Tcp {
+    const NAME: &'static str = "tcp";
+    type Stream = TcpStream;
+    type Listener = TcpListener;
+    type Addr = SocketAddr;
 
-struct TcpNodeSlot {
-    addr: SocketAddr,
-    tx: Sender<Delivery>,
-    peers: Peers,
-    /// One `(peer, stream clone)` per live connection, used to force-close
-    /// everything on removal or a single edge on disconnect.
-    streams: Arc<Mutex<Vec<(PeerId, TcpStream)>>>,
-    shutdown: Arc<AtomicBool>,
+    fn bind(&self, _id: PeerId) -> io::Result<(TcpListener, SocketAddr)> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let addr = listener.local_addr()?;
+        Ok((listener, addr))
+    }
+
+    fn accept(listener: &TcpListener) -> io::Result<TcpStream> {
+        let (stream, _) = listener.accept()?;
+        stream.set_nodelay(true).ok();
+        Ok(stream)
+    }
+
+    fn connect(addr: &SocketAddr) -> io::Result<TcpStream> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true).ok();
+        Ok(stream)
+    }
+
+    fn try_clone(stream: &TcpStream) -> io::Result<TcpStream> {
+        stream.try_clone()
+    }
+
+    fn shutdown(stream: &TcpStream) {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
 }
 
 /// Transport whose FIFO channels are loopback TCP connections.
-pub struct TcpTransport {
-    nodes: Mutex<HashMap<PeerId, TcpNodeSlot>>,
-    writer_cfg: WriterConfig,
-}
-
-impl Default for TcpTransport {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub type TcpTransport = SocketTransport<Tcp>;
 
 impl TcpTransport {
     pub fn new() -> Self {
@@ -77,440 +56,17 @@ impl TcpTransport {
 
     /// A transport whose links use the given queue depth and send deadline.
     pub fn with_writer_config(writer_cfg: WriterConfig) -> Self {
-        TcpTransport {
-            nodes: Mutex::new(HashMap::new()),
-            writer_cfg,
-        }
-    }
-
-    /// The loopback address a node is listening on (mainly for diagnostics).
-    pub fn addr_of(&self, id: PeerId) -> Option<SocketAddr> {
-        self.nodes.lock().get(&id).map(|s| s.addr)
+        SocketTransport::over(Tcp, writer_cfg)
     }
 }
 
-/// Runs on the acceptor side of each new connection: handshake, link
-/// installation, ack, then the read loop.
-fn serve_accepted(
-    mut stream: TcpStream,
-    tx: Sender<Delivery>,
-    peers: Peers,
-    streams: Arc<Mutex<Vec<(PeerId, TcpStream)>>>,
-    cfg: WriterConfig,
-) {
-    let mut id_buf = [0u8; 4];
-    if stream.read_exact(&mut id_buf).is_err() {
-        return;
-    }
-    let peer = PeerId::from_le_bytes(id_buf);
-    let link = match tcp_link(peer, &stream, cfg) {
-        Ok(l) => l,
-        Err(_) => return,
-    };
-    streams.lock().push(match stream.try_clone() {
-        Ok(s) => (peer, s),
-        Err(_) => return,
-    });
-    peers.insert(peer, Arc::new(link));
-    if stream.write_all(&[1u8]).is_err() {
-        peers.remove(peer);
-        return;
-    }
-    read_loop(stream, peer, tx, peers);
-}
-
-/// Pulls frames off a connection into the owning node's queue until EOF or
-/// error, then reports the peer as disconnected.
-#[allow(clippy::while_let_loop)] // the loop also exits on Ok(None)/Err arms
-fn read_loop(mut stream: TcpStream, peer: PeerId, tx: Sender<Delivery>, peers: Peers) {
-    loop {
-        match read_frame(&mut stream) {
-            Ok(Some(bytes)) => {
-                if tx
-                    .send(Delivery::Frame {
-                        from: peer,
-                        frame: Frame::Bytes(bytes.into()),
-                    })
-                    .is_err()
-                {
-                    break; // owner exited
-                }
-            }
-            Ok(None) | Err(_) => break,
-        }
-    }
-    peers.remove(peer);
-    let _ = tx.send(Delivery::Disconnected { peer });
-}
-
-impl Transport for TcpTransport {
-    fn add_node(&self, id: PeerId) -> Result<NodeEndpoint, TransportError> {
-        let mut nodes = self.nodes.lock();
-        if nodes.contains_key(&id) {
-            return Err(TransportError::DuplicateNode(id));
-        }
-        let listener =
-            TcpListener::bind("127.0.0.1:0").map_err(|e| TransportError::Io(e.to_string()))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| TransportError::Io(e.to_string()))?;
-        let (tx, rx) = unbounded();
-        let peers = Peers::new();
-        let streams: Arc<Mutex<Vec<(PeerId, TcpStream)>>> = Arc::new(Mutex::new(Vec::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        {
-            let tx = tx.clone();
-            let peers = peers.clone();
-            let streams = streams.clone();
-            let shutdown = shutdown.clone();
-            let cfg = self.writer_cfg;
-            thread::Builder::new()
-                .name(format!("tbon-tcp-accept-{id}"))
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { break };
-                        stream.set_nodelay(true).ok();
-                        let tx = tx.clone();
-                        let peers = peers.clone();
-                        let streams = streams.clone();
-                        thread::Builder::new()
-                            .name("tbon-tcp-read".into())
-                            .spawn(move || serve_accepted(stream, tx, peers, streams, cfg))
-                            .expect("spawn reader thread");
-                    }
-                })
-                .expect("spawn accept thread");
-        }
-
-        nodes.insert(
-            id,
-            TcpNodeSlot {
-                addr,
-                tx,
-                peers: peers.clone(),
-                streams,
-                shutdown,
-            },
-        );
-        Ok(NodeEndpoint {
-            id,
-            incoming: rx,
-            peers,
-        })
-    }
-
-    fn connect(&self, a: PeerId, b: PeerId) -> Result<(), TransportError> {
-        let (b_addr, a_tx, a_peers, a_streams) = {
-            let nodes = self.nodes.lock();
-            let slot_b = nodes.get(&b).ok_or(TransportError::UnknownPeer(b))?;
-            let slot_a = nodes.get(&a).ok_or(TransportError::UnknownPeer(a))?;
-            (
-                slot_b.addr,
-                slot_a.tx.clone(),
-                slot_a.peers.clone(),
-                slot_a.streams.clone(),
-            )
-        };
-        let mut stream =
-            TcpStream::connect(b_addr).map_err(|e| TransportError::Io(e.to_string()))?;
-        stream.set_nodelay(true).ok();
-        stream
-            .write_all(&a.to_le_bytes())
-            .map_err(|e| TransportError::Io(e.to_string()))?;
-        // Wait for the acceptor to install its link so `connect` returning
-        // means both directions work.
-        let mut ack = [0u8; 1];
-        stream
-            .read_exact(&mut ack)
-            .map_err(|e| TransportError::Io(e.to_string()))?;
-
-        let link = tcp_link(b, &stream, self.writer_cfg)?;
-        a_streams.lock().push((
-            b,
-            stream
-                .try_clone()
-                .map_err(|e| TransportError::Io(e.to_string()))?,
-        ));
-        a_peers.insert(b, Arc::new(link));
-        let peers = a_peers;
-        thread::Builder::new()
-            .name(format!("tbon-tcp-read-{a}-{b}"))
-            .spawn(move || read_loop(stream, b, a_tx, peers))
-            .map_err(|e| TransportError::Io(e.to_string()))?;
-        Ok(())
-    }
-
-    fn remove_node(&self, id: PeerId) -> Result<(), TransportError> {
-        let slot = {
-            let mut nodes = self.nodes.lock();
-            nodes.remove(&id).ok_or(TransportError::UnknownPeer(id))?
-        };
-        slot.shutdown.store(true, Ordering::Release);
-        // Closing the sockets wakes the remote reader threads, which emit
-        // Disconnected to their owners and drop their links.
-        for (_, s) in slot.streams.lock().iter() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-        // Wake the accept loop so it observes the shutdown flag.
-        let _ = TcpStream::connect(slot.addr);
-        Ok(())
-    }
-
-    fn disconnect(&self, a: PeerId, b: PeerId) -> Result<(), TransportError> {
-        let nodes = self.nodes.lock();
-        if !nodes.contains_key(&a) {
-            return Err(TransportError::UnknownPeer(a));
-        }
-        if !nodes.contains_key(&b) {
-            return Err(TransportError::UnknownPeer(b));
-        }
-        // Shut down every socket of this edge on both slots; the read loops
-        // observe EOF and emit Disconnected to both owners. Both nodes stay
-        // registered and may reconnect later.
-        for (x, y) in [(a, b), (b, a)] {
-            let slot = nodes.get(&x).expect("checked above");
-            slot.streams.lock().retain(|(peer, s)| {
-                if *peer == y {
-                    let _ = s.shutdown(Shutdown::Both);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        Ok(())
+impl Default for TcpTransport {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::build_overlay;
-    use std::time::Duration;
-
-    #[test]
-    fn connect_then_send_both_directions() {
-        let t = TcpTransport::new();
-        let ea = t.add_node(0).unwrap();
-        let eb = t.add_node(1).unwrap();
-        t.connect(0, 1).unwrap();
-
-        ea.peers
-            .get(1)
-            .unwrap()
-            .send(Frame::Bytes(b"up".to_vec().into()))
-            .unwrap();
-        // b's link to a is installed by the accept thread; connect() waits
-        // for the ack so it must exist now.
-        eb.peers
-            .get(0)
-            .unwrap()
-            .send(Frame::Bytes(b"down".to_vec().into()))
-            .unwrap();
-
-        match eb.incoming.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Delivery::Frame { from, frame } => {
-                assert_eq!(from, 0);
-                assert_eq!(frame.wire_size(), 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match ea.incoming.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Delivery::Frame { from, frame } => {
-                assert_eq!(from, 1);
-                assert_eq!(frame.wire_size(), 4);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn shared_frames_rejected() {
-        let t = TcpTransport::new();
-        let ea = t.add_node(0).unwrap();
-        let _eb = t.add_node(1).unwrap();
-        t.connect(0, 1).unwrap();
-        let link = ea.peers.get(1).unwrap();
-        assert!(link.needs_bytes());
-        assert_eq!(
-            link.send(Frame::Shared {
-                data: Arc::new(0u8),
-                size_hint: 1
-            })
-            .unwrap_err(),
-            TransportError::NeedsBytes
-        );
-    }
-
-    #[test]
-    fn fifo_order_preserved() {
-        let t = TcpTransport::new();
-        let ea = t.add_node(0).unwrap();
-        let eb = t.add_node(1).unwrap();
-        t.connect(0, 1).unwrap();
-        let link = ea.peers.get(1).unwrap();
-        for i in 0..500u32 {
-            link.send(Frame::Bytes(i.to_le_bytes().to_vec().into()))
-                .unwrap();
-        }
-        let mut expect = 0u32;
-        while expect < 500 {
-            match eb.incoming.recv_timeout(Duration::from_secs(5)).unwrap() {
-                Delivery::Frame {
-                    frame: Frame::Bytes(b),
-                    ..
-                } => {
-                    assert_eq!(u32::from_le_bytes(b[..].try_into().unwrap()), expect);
-                    expect += 1;
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn remove_node_disconnects_peer() {
-        let t = TcpTransport::new();
-        let ea = t.add_node(0).unwrap();
-        let _eb = t.add_node(1).unwrap();
-        t.connect(0, 1).unwrap();
-        t.remove_node(1).unwrap();
-        match ea.incoming.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Delivery::Disconnected { peer } => assert_eq!(peer, 1),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(ea.peers.get(1).is_none());
-    }
-
-    #[test]
-    fn disconnect_severs_one_edge_and_allows_reconnect() {
-        let t = TcpTransport::new();
-        let ea = t.add_node(0).unwrap();
-        let eb = t.add_node(1).unwrap();
-        let ec = t.add_node(2).unwrap();
-        t.connect(0, 1).unwrap();
-        t.connect(0, 2).unwrap();
-        t.disconnect(0, 1).unwrap();
-        match ea.incoming.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Delivery::Disconnected { peer } => assert_eq!(peer, 1),
-            other => panic!("unexpected {other:?}"),
-        }
-        match eb.incoming.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Delivery::Disconnected { peer } => assert_eq!(peer, 0),
-            other => panic!("unexpected {other:?}"),
-        }
-        // The unrelated 0-2 edge survives.
-        ea.peers
-            .get(2)
-            .unwrap()
-            .send(Frame::Bytes(vec![5].into()))
-            .unwrap();
-        match ec.incoming.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Delivery::Frame { from, .. } => assert_eq!(from, 0),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Both nodes are still registered; the edge can come back.
-        t.connect(0, 1).unwrap();
-        ea.peers
-            .get(1)
-            .unwrap()
-            .send(Frame::Bytes(vec![6].into()))
-            .unwrap();
-        match eb.incoming.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Delivery::Frame { from, .. } => assert_eq!(from, 0),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn overlay_tree_delivers_leaf_to_root_via_parent() {
-        let t = TcpTransport::new();
-        let nodes = vec![0, 1, 2, 3, 4];
-        let edges = vec![(0, 1), (0, 2), (1, 3), (1, 4)];
-        let eps = build_overlay(&t, &nodes, &edges).unwrap();
-        eps[&3]
-            .peers
-            .get(1)
-            .unwrap()
-            .send(Frame::Bytes(vec![42].into()))
-            .unwrap();
-        match eps[&1]
-            .incoming
-            .recv_timeout(Duration::from_secs(5))
-            .unwrap()
-        {
-            Delivery::Frame { from, frame } => {
-                assert_eq!(from, 3);
-                match frame {
-                    Frame::Bytes(b) => assert_eq!(&b[..], [42]),
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn large_frame_roundtrips() {
-        let t = TcpTransport::new();
-        let ea = t.add_node(0).unwrap();
-        let eb = t.add_node(1).unwrap();
-        t.connect(0, 1).unwrap();
-        let payload = vec![0xabu8; 4 * 1024 * 1024];
-        ea.peers
-            .get(1)
-            .unwrap()
-            .send(Frame::Bytes(payload.clone().into()))
-            .unwrap();
-        match eb.incoming.recv_timeout(Duration::from_secs(10)).unwrap() {
-            Delivery::Frame {
-                frame: Frame::Bytes(b),
-                ..
-            } => assert_eq!(&b[..], &payload[..]),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn slow_reader_trips_backpressure_not_the_sender_loop() {
-        // Tiny queue + short deadline; node 1 never reads, so the writer
-        // jams on the kernel buffer and send() must fail with Backpressure
-        // (after closing the connection) instead of blocking forever.
-        let t = TcpTransport::with_writer_config(WriterConfig {
-            queue_depth: 1,
-            send_deadline: Duration::from_millis(50),
-            ..WriterConfig::default()
-        });
-        let ea = t.add_node(0).unwrap();
-        let eb = t.add_node(1).unwrap();
-        t.connect(0, 1).unwrap();
-        let link = ea.peers.get(1).unwrap();
-        // Kill node 1's consumer: once its reader notices (first frame) it
-        // stops reading, so the kernel buffers fill and the writer jams.
-        drop(eb);
-        let chunk = vec![0u8; 1024 * 1024];
-        let start = std::time::Instant::now();
-        let mut result = Ok(());
-        for _ in 0..256 {
-            result = link.send(Frame::Bytes(chunk.clone().into()));
-            if result.is_err() {
-                break;
-            }
-            // Frames queue instantly once the writer jams; pace the loop so
-            // the reader's exit has time to take effect.
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        match result.unwrap_err() {
-            TransportError::Backpressure(1) | TransportError::Closed(1) => {}
-            other => panic!("expected Backpressure/Closed for peer 1, got {other:?}"),
-        }
-        assert!(
-            start.elapsed() < Duration::from_secs(30),
-            "backpressure must trip, not hang"
-        );
-    }
+    crate::socket::socket_transport_suite!(super::TcpTransport::with_writer_config);
 }

@@ -1,68 +1,70 @@
 //! Unix domain socket transport.
 //!
-//! Same framing and handshake as the TCP transport, over `AF_UNIX` sockets
-//! in a private temporary directory — the substrate a single-host MRNet
-//! deployment would use to avoid the TCP stack entirely while keeping real
+//! The [`crate::socket`] transport over `AF_UNIX` sockets in a private
+//! temporary directory — the substrate a single-host MRNet deployment
+//! would use to avoid the TCP stack entirely while keeping real
 //! kernel-mediated IPC (distinct address spaces would work unchanged).
 
 #![cfg(unix)]
 
-use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crossbeam_channel::{unbounded, Sender};
-use parking_lot::Mutex;
+use crate::framing::io_err;
+use crate::socket::{Family, SocketTransport};
+use crate::{PeerId, TransportError, WriterConfig};
 
-use crate::framing::read_frame;
-use crate::writer::WriterLink;
-use crate::{
-    Delivery, Frame, NodeEndpoint, PeerId, Peers, Transport, TransportError, WriterConfig,
-};
-
-/// Build the sending half of one direction of a UDS edge: a [`WriterLink`]
-/// whose stall action shuts the socket down so the peer observes the failure.
-fn uds_link(
-    to: PeerId,
-    stream: &UnixStream,
-    cfg: WriterConfig,
-) -> Result<WriterLink, TransportError> {
-    let write_half = stream
-        .try_clone()
-        .map_err(|e| TransportError::Io(e.to_string()))?;
-    let stall_half = stream
-        .try_clone()
-        .map_err(|e| TransportError::Io(e.to_string()))?;
-    Ok(WriterLink::spawn(
-        to,
-        write_half,
-        cfg,
-        format!("tbon-uds-write-{to}"),
-        move || {
-            let _ = stall_half.shutdown(std::net::Shutdown::Both);
-        },
-    ))
+/// The Unix-domain address family: one socket file per node in `dir`.
+pub struct Uds {
+    dir: PathBuf,
+    cleanup_dir: bool,
 }
 
-struct UdsNodeSlot {
-    path: PathBuf,
-    tx: Sender<Delivery>,
-    peers: Peers,
-    streams: Arc<Mutex<Vec<(PeerId, UnixStream)>>>,
-    shutdown: Arc<AtomicBool>,
+impl Family for Uds {
+    const NAME: &'static str = "uds";
+    type Stream = UnixStream;
+    type Listener = UnixListener;
+    type Addr = PathBuf;
+
+    fn bind(&self, id: PeerId) -> io::Result<(UnixListener, PathBuf)> {
+        let path = self.dir.join(format!("node-{id}.sock"));
+        let _ = std::fs::remove_file(&path);
+        Ok((UnixListener::bind(&path)?, path))
+    }
+
+    fn accept(listener: &UnixListener) -> io::Result<UnixStream> {
+        listener.accept().map(|(stream, _)| stream)
+    }
+
+    fn connect(path: &PathBuf) -> io::Result<UnixStream> {
+        UnixStream::connect(path)
+    }
+
+    fn try_clone(stream: &UnixStream) -> io::Result<UnixStream> {
+        stream.try_clone()
+    }
+
+    fn shutdown(stream: &UnixStream) {
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+    }
+
+    fn unbind(path: &PathBuf) {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+impl Drop for Uds {
+    fn drop(&mut self) {
+        if self.cleanup_dir {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
 }
 
 /// Transport whose FIFO channels are Unix domain sockets.
-pub struct UdsTransport {
-    dir: PathBuf,
-    nodes: Mutex<HashMap<PeerId, UdsNodeSlot>>,
-    cleanup_dir: bool,
-    writer_cfg: WriterConfig,
-}
+pub type UdsTransport = SocketTransport<Uds>;
 
 static SOCKET_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -80,369 +82,36 @@ impl UdsTransport {
             std::process::id(),
             SOCKET_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        std::fs::create_dir_all(&dir).map_err(|e| TransportError::Io(e.to_string()))?;
-        Ok(UdsTransport {
+        std::fs::create_dir_all(&dir).map_err(io_err)?;
+        let family = Uds {
             dir,
-            nodes: Mutex::new(HashMap::new()),
             cleanup_dir: true,
-            writer_cfg: cfg,
-        })
+        };
+        Ok(SocketTransport::over(family, cfg))
     }
 
     /// Sockets in a caller-chosen directory (not removed on drop).
     pub fn in_dir(dir: impl Into<PathBuf>) -> UdsTransport {
-        UdsTransport {
+        let family = Uds {
             dir: dir.into(),
-            nodes: Mutex::new(HashMap::new()),
             cleanup_dir: false,
-            writer_cfg: WriterConfig::default(),
-        }
-    }
-
-    fn path_of(&self, id: PeerId) -> PathBuf {
-        self.dir.join(format!("node-{id}.sock"))
-    }
-}
-
-impl Drop for UdsTransport {
-    fn drop(&mut self) {
-        if self.cleanup_dir {
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
-    }
-}
-
-fn serve_accepted(
-    mut stream: UnixStream,
-    tx: Sender<Delivery>,
-    peers: Peers,
-    streams: Arc<Mutex<Vec<(PeerId, UnixStream)>>>,
-    cfg: WriterConfig,
-) {
-    let mut id_buf = [0u8; 4];
-    if stream.read_exact(&mut id_buf).is_err() {
-        return;
-    }
-    let peer = PeerId::from_le_bytes(id_buf);
-    let Ok(link) = uds_link(peer, &stream, cfg) else {
-        return;
-    };
-    if let Ok(clone) = stream.try_clone() {
-        streams.lock().push((peer, clone));
-    } else {
-        return;
-    }
-    peers.insert(peer, Arc::new(link));
-    if stream.write_all(&[1u8]).is_err() {
-        peers.remove(peer);
-        return;
-    }
-    read_loop(stream, peer, tx, peers);
-}
-
-#[allow(clippy::while_let_loop)] // the loop also exits on Ok(None)/Err arms
-fn read_loop(mut stream: UnixStream, peer: PeerId, tx: Sender<Delivery>, peers: Peers) {
-    loop {
-        match read_frame(&mut stream) {
-            Ok(Some(bytes)) => {
-                if tx
-                    .send(Delivery::Frame {
-                        from: peer,
-                        frame: Frame::Bytes(bytes.into()),
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            Ok(None) | Err(_) => break,
-        }
-    }
-    peers.remove(peer);
-    let _ = tx.send(Delivery::Disconnected { peer });
-}
-
-impl Transport for UdsTransport {
-    fn add_node(&self, id: PeerId) -> Result<NodeEndpoint, TransportError> {
-        let mut nodes = self.nodes.lock();
-        if nodes.contains_key(&id) {
-            return Err(TransportError::DuplicateNode(id));
-        }
-        let path = self.path_of(id);
-        let _ = std::fs::remove_file(&path);
-        let listener = UnixListener::bind(&path).map_err(|e| TransportError::Io(e.to_string()))?;
-        let (tx, rx) = unbounded();
-        let peers = Peers::new();
-        let streams: Arc<Mutex<Vec<(PeerId, UnixStream)>>> = Arc::new(Mutex::new(Vec::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        {
-            let tx = tx.clone();
-            let peers = peers.clone();
-            let streams = streams.clone();
-            let shutdown = shutdown.clone();
-            let cfg = self.writer_cfg;
-            thread::Builder::new()
-                .name(format!("tbon-uds-accept-{id}"))
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { break };
-                        let tx = tx.clone();
-                        let peers = peers.clone();
-                        let streams = streams.clone();
-                        thread::Builder::new()
-                            .name("tbon-uds-read".into())
-                            .spawn(move || serve_accepted(stream, tx, peers, streams, cfg))
-                            .expect("spawn reader thread");
-                    }
-                })
-                .map_err(|e| TransportError::Io(e.to_string()))?;
-        }
-        nodes.insert(
-            id,
-            UdsNodeSlot {
-                path,
-                tx,
-                peers: peers.clone(),
-                streams,
-                shutdown,
-            },
-        );
-        Ok(NodeEndpoint {
-            id,
-            incoming: rx,
-            peers,
-        })
-    }
-
-    fn connect(&self, a: PeerId, b: PeerId) -> Result<(), TransportError> {
-        let (b_path, a_tx, a_peers, a_streams) = {
-            let nodes = self.nodes.lock();
-            let slot_b = nodes.get(&b).ok_or(TransportError::UnknownPeer(b))?;
-            let slot_a = nodes.get(&a).ok_or(TransportError::UnknownPeer(a))?;
-            (
-                slot_b.path.clone(),
-                slot_a.tx.clone(),
-                slot_a.peers.clone(),
-                slot_a.streams.clone(),
-            )
         };
-        let mut stream =
-            UnixStream::connect(&b_path).map_err(|e| TransportError::Io(e.to_string()))?;
-        stream
-            .write_all(&a.to_le_bytes())
-            .map_err(|e| TransportError::Io(e.to_string()))?;
-        let mut ack = [0u8; 1];
-        stream
-            .read_exact(&mut ack)
-            .map_err(|e| TransportError::Io(e.to_string()))?;
-
-        let link = uds_link(b, &stream, self.writer_cfg)?;
-        a_streams.lock().push((
-            b,
-            stream
-                .try_clone()
-                .map_err(|e| TransportError::Io(e.to_string()))?,
-        ));
-        a_peers.insert(b, Arc::new(link));
-        let peers = a_peers;
-        thread::Builder::new()
-            .name(format!("tbon-uds-read-{a}-{b}"))
-            .spawn(move || read_loop(stream, b, a_tx, peers))
-            .map_err(|e| TransportError::Io(e.to_string()))?;
-        Ok(())
-    }
-
-    fn remove_node(&self, id: PeerId) -> Result<(), TransportError> {
-        let slot = {
-            let mut nodes = self.nodes.lock();
-            nodes.remove(&id).ok_or(TransportError::UnknownPeer(id))?
-        };
-        slot.shutdown.store(true, Ordering::Release);
-        for (_, s) in slot.streams.lock().iter() {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-        // Wake the accept loop so it observes the flag, then unlink.
-        let _ = UnixStream::connect(&slot.path);
-        let _ = std::fs::remove_file(&slot.path);
-        Ok(())
-    }
-
-    fn disconnect(&self, a: PeerId, b: PeerId) -> Result<(), TransportError> {
-        let nodes = self.nodes.lock();
-        if !nodes.contains_key(&a) {
-            return Err(TransportError::UnknownPeer(a));
-        }
-        if !nodes.contains_key(&b) {
-            return Err(TransportError::UnknownPeer(b));
-        }
-        // Shut down every socket of this edge on both slots; the read loops
-        // observe EOF and emit Disconnected to both owners. Both nodes stay
-        // registered and may reconnect later.
-        for (x, y) in [(a, b), (b, a)] {
-            let slot = nodes.get(&x).expect("checked above");
-            slot.streams.lock().retain(|(peer, s)| {
-                if *peer == y {
-                    let _ = s.shutdown(std::net::Shutdown::Both);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        Ok(())
+        SocketTransport::over(family, WriterConfig::default())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::build_overlay;
-    use std::time::Duration;
+    use super::UdsTransport;
 
-    #[test]
-    fn connect_then_send_both_directions() {
-        let t = UdsTransport::new().unwrap();
-        let ea = t.add_node(0).unwrap();
-        let eb = t.add_node(1).unwrap();
-        t.connect(0, 1).unwrap();
-        ea.peers
-            .get(1)
-            .unwrap()
-            .send(Frame::Bytes(b"up".to_vec().into()))
-            .unwrap();
-        eb.peers
-            .get(0)
-            .unwrap()
-            .send(Frame::Bytes(b"down".to_vec().into()))
-            .unwrap();
-        match eb.incoming.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Delivery::Frame { from, frame } => {
-                assert_eq!(from, 0);
-                assert_eq!(frame.wire_size(), 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match ea.incoming.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Delivery::Frame { from, .. } => assert_eq!(from, 1),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fifo_order_preserved() {
-        let t = UdsTransport::new().unwrap();
-        let ea = t.add_node(0).unwrap();
-        let eb = t.add_node(1).unwrap();
-        t.connect(0, 1).unwrap();
-        let link = ea.peers.get(1).unwrap();
-        for i in 0..300u32 {
-            link.send(Frame::Bytes(i.to_le_bytes().to_vec().into()))
-                .unwrap();
-        }
-        let mut expect = 0u32;
-        while expect < 300 {
-            match eb.incoming.recv_timeout(Duration::from_secs(5)).unwrap() {
-                Delivery::Frame {
-                    frame: Frame::Bytes(b),
-                    ..
-                } => {
-                    assert_eq!(u32::from_le_bytes(b[..].try_into().unwrap()), expect);
-                    expect += 1;
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn shared_frames_rejected() {
-        let t = UdsTransport::new().unwrap();
-        let ea = t.add_node(0).unwrap();
-        let _eb = t.add_node(1).unwrap();
-        t.connect(0, 1).unwrap();
-        let link = ea.peers.get(1).unwrap();
-        assert!(link.needs_bytes());
-        assert_eq!(
-            link.send(Frame::Shared {
-                data: Arc::new(0u8),
-                size_hint: 1
-            })
-            .unwrap_err(),
-            TransportError::NeedsBytes
-        );
-    }
-
-    #[test]
-    fn remove_node_disconnects_peer() {
-        let t = UdsTransport::new().unwrap();
-        let ea = t.add_node(0).unwrap();
-        let _eb = t.add_node(1).unwrap();
-        t.connect(0, 1).unwrap();
-        t.remove_node(1).unwrap();
-        match ea.incoming.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Delivery::Disconnected { peer } => assert_eq!(peer, 1),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn disconnect_severs_edge_and_allows_reconnect() {
-        let t = UdsTransport::new().unwrap();
-        let ea = t.add_node(0).unwrap();
-        let eb = t.add_node(1).unwrap();
-        t.connect(0, 1).unwrap();
-        t.disconnect(0, 1).unwrap();
-        match ea.incoming.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Delivery::Disconnected { peer } => assert_eq!(peer, 1),
-            other => panic!("unexpected {other:?}"),
-        }
-        match eb.incoming.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Delivery::Disconnected { peer } => assert_eq!(peer, 0),
-            other => panic!("unexpected {other:?}"),
-        }
-        t.connect(0, 1).unwrap();
-        ea.peers
-            .get(1)
-            .unwrap()
-            .send(Frame::Bytes(vec![3].into()))
-            .unwrap();
-        match eb.incoming.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Delivery::Frame { from, .. } => assert_eq!(from, 0),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn overlay_tree_works() {
-        let t = UdsTransport::new().unwrap();
-        let nodes = vec![0, 1, 2, 3, 4];
-        let edges = vec![(0, 1), (0, 2), (1, 3), (1, 4)];
-        let eps = build_overlay(&t, &nodes, &edges).unwrap();
-        eps[&4]
-            .peers
-            .get(1)
-            .unwrap()
-            .send(Frame::Bytes(vec![9].into()))
-            .unwrap();
-        match eps[&1]
-            .incoming
-            .recv_timeout(Duration::from_secs(5))
-            .unwrap()
-        {
-            Delivery::Frame { from, .. } => assert_eq!(from, 4),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
+    crate::socket::socket_transport_suite!(|cfg| UdsTransport::with_writer_config(cfg).unwrap());
 
     #[test]
     fn socket_dir_cleaned_on_drop() {
         let dir;
         {
             let t = UdsTransport::new().unwrap();
-            dir = t.dir.clone();
+            dir = t.family.dir.clone();
             let _ = t.add_node(0).unwrap();
             assert!(dir.exists());
         }
